@@ -50,16 +50,10 @@ zooSchemes()
             for (std::size_t i = 0; i < s.size();) {
                 std::size_t comma = s.find(',', i);
                 std::string tok = s.substr(i, comma - i);
-                bool found = false;
-                for (PrefetchScheme cand : allPrefetchSchemes()) {
-                    if (tok == schemeName(cand)) {
-                        out.push_back(cand);
-                        found = true;
-                        break;
-                    }
-                }
-                fatal_if(!found, "FDIP_X18_SCHEMES: unknown scheme "
+                auto scheme = schemeFromName(tok);
+                fatal_if(!scheme, "FDIP_X18_SCHEMES: unknown scheme "
                          "'%s'", tok.c_str());
+                out.push_back(*scheme);
                 if (comma == std::string::npos)
                     break;
                 i = comma + 1;

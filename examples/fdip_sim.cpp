@@ -31,9 +31,8 @@ usage(const char *argv0)
     std::printf(
         "usage: %s [options]\n"
         "  --workload NAME    workload profile (default gcc)\n"
-        "  --scheme NAME      none|nlp|stream|fdp-nofilter|fdp-enqueue|\n"
-        "                     fdp-enqueue-aggr|fdp-remove|fdp-ideal|"
-        "oracle\n"
+        "  --scheme NAME      prefetch scheme (default fdp-remove; "
+        "--list names them)\n"
         "  --insts N          measured instructions (default 1000000)\n"
         "  --warmup N         warmup instructions (default 300000)\n"
         "  --l1i-kb N         L1-I capacity in KB (default 16)\n"
@@ -52,15 +51,8 @@ usage(const char *argv0)
 PrefetchScheme
 parseScheme(const std::string &name)
 {
-    for (auto s : {PrefetchScheme::None, PrefetchScheme::Nlp,
-                   PrefetchScheme::StreamBuffer,
-                   PrefetchScheme::FdpNone, PrefetchScheme::FdpEnqueue,
-                   PrefetchScheme::FdpEnqueueAggressive,
-                   PrefetchScheme::FdpRemove, PrefetchScheme::FdpIdeal,
-                   PrefetchScheme::Oracle}) {
-        if (name == schemeName(s))
-            return s;
-    }
+    if (auto s = schemeFromName(name))
+        return *s;
     std::fprintf(stderr, "unknown scheme '%s'\n", name.c_str());
     std::exit(1);
 }
@@ -89,9 +81,10 @@ main(int argc, char **argv)
             std::printf("workloads:");
             for (const auto &n : allWorkloadNames())
                 std::printf(" %s", n.c_str());
-            std::printf("\nschemes: none nlp stream fdp-nofilter "
-                        "fdp-enqueue fdp-enqueue-aggr fdp-remove "
-                        "fdp-ideal oracle\n");
+            std::printf("\nschemes:");
+            for (PrefetchScheme s : allPrefetchSchemes())
+                std::printf(" %s", schemeName(s));
+            std::printf("\n");
             return 0;
         } else if (arg == "--workload") {
             cfg.workload = want_value("--workload");

@@ -19,10 +19,13 @@ Ftq::push(const FetchBlock &blk)
     panic_if(full(), "push to full FTQ");
     FtqEntry e;
     e.blk = blk;
+    e.firstBlock = alignDown(blk.startPc, blockBytes);
+    Addr last = alignDown(blk.endPc() - instBytes, blockBytes);
+    e.numBlocks =
+        static_cast<unsigned>((last - e.firstBlock) / blockBytes) + 1;
     if (tracer != nullptr)
         e.pushedAt = tracer->now();
     q.push(e);
-    ++version_;
     stPushedBlocks.inc();
     stPushedInsts.inc(blk.numInsts);
 }
@@ -37,7 +40,7 @@ Ftq::popHead()
                          "fetched");
     }
     q.pop();
-    ++version_;
+    ++headSeq_;
     stPoppedBlocks.inc();
 }
 
@@ -54,24 +57,8 @@ Ftq::flush()
     }
     stFlushes.inc();
     stFlushedBlocks.inc(q.size());
+    headSeq_ += q.size();
     q.clear();
-    ++version_;
-}
-
-unsigned
-Ftq::numCacheBlocks(std::size_t i) const
-{
-    const FetchBlock &blk = q.at(i).blk;
-    Addr first = alignDown(blk.startPc, blockBytes);
-    Addr last = alignDown(blk.endPc() - instBytes, blockBytes);
-    return static_cast<unsigned>((last - first) / blockBytes) + 1;
-}
-
-Addr
-Ftq::cacheBlockAddr(std::size_t i, unsigned k) const
-{
-    const FetchBlock &blk = q.at(i).blk;
-    return alignDown(blk.startPc, blockBytes) + Addr(k) * blockBytes;
 }
 
 void

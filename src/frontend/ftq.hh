@@ -26,6 +26,11 @@ struct FtqEntry
     unsigned fetchedInsts = 0;
     /** Prefetch-scan progress: next cache block index to consider. */
     unsigned nextScanBlock = 0;
+    /** Aligned address of the first cache block the entry spans
+     *  (computed once at push). */
+    Addr firstBlock = 0;
+    /** Number of cache blocks the entry spans (computed once at push). */
+    unsigned numBlocks = 0;
     /** Cycle this entry entered the queue (tracing only). */
     Cycle pushedAt = 0;
 };
@@ -53,18 +58,36 @@ class Ftq
     void flush();
 
     /**
-     * Monotonic content-change counter: bumped by push, popHead, and
-     * flush. Scanners whose verdict is a pure function of the queue's
-     * entries (e.g. the TLB prefetcher's fixed-point check) memoize
-     * against it instead of rescanning every cycle.
+     * Sequence number of the head entry: the number of entries ever
+     * popped or flushed. Entry at(i) has sequence headSeq() + i for as
+     * long as it stays queued, so a scanner that records progress as a
+     * sequence number is moved past popped and squashed entries
+     * without being told.
      */
-    std::uint64_t version() const { return version_; }
+    std::uint64_t headSeq() const { return headSeq_; }
+
+    /**
+     * Monotonic content-change counter: entries ever removed plus
+     * entries ever pushed, so every push, popHead and non-empty flush
+     * moves it. Scanners whose verdict is a pure function of the
+     * queue's entries (e.g. the TLB prefetcher's fixed-point check)
+     * memoize against it instead of rescanning every cycle.
+     */
+    std::uint64_t version() const { return 2 * headSeq_ + q.size(); }
 
     /** Number of cache blocks entry @p i spans. */
-    unsigned numCacheBlocks(std::size_t i) const;
+    unsigned
+    numCacheBlocks(std::size_t i) const
+    {
+        return q.at(i).numBlocks;
+    }
 
     /** Aligned address of cache block @p k of entry @p i. */
-    Addr cacheBlockAddr(std::size_t i, unsigned k) const;
+    Addr
+    cacheBlockAddr(std::size_t i, unsigned k) const
+    {
+        return q.at(i).firstBlock + Addr(k) * blockBytes;
+    }
 
     /** Record the current occupancy (call once per cycle; idle-cycle
      *  skipping passes the number of cycles being charged). */
@@ -100,7 +123,7 @@ class Ftq
     CircularQueue<FtqEntry> q;
     unsigned blockBytes;
     Histogram occupancy;
-    std::uint64_t version_ = 0;
+    std::uint64_t headSeq_ = 0;
     Tracer *tracer = nullptr;
 };
 

@@ -21,19 +21,9 @@ Cache::Cache(const Config &config)
     sets = static_cast<unsigned>(num_blocks / cfg.assoc);
     fatal_if(!isPowerOf2(sets), "cache '%s': set count must be 2^n",
              cfg.name.c_str());
+    blockShift = floorLog2(cfg.blockBytes);
+    tagShift = blockShift + floorLog2(sets);
     blocks.resize(num_blocks);
-}
-
-std::size_t
-Cache::setIndex(Addr addr) const
-{
-    return (addr / cfg.blockBytes) & (sets - 1);
-}
-
-std::uint64_t
-Cache::tagOf(Addr addr) const
-{
-    return (addr / cfg.blockBytes) >> floorLog2(sets);
 }
 
 Cache::Block *
@@ -130,8 +120,7 @@ Cache::insert(Addr addr, bool first_use_tag)
     if (victim->valid) {
         stEvictions.inc();
         std::uint64_t set = setIndex(addr);
-        evicted = ((victim->tag << floorLog2(sets)) | set) *
-            cfg.blockBytes;
+        evicted = (victim->tag << tagShift) | (set << blockShift);
     }
     victim->valid = true;
     victim->tag = tag;

@@ -93,14 +93,24 @@ class Cache
         bool firstUseTag = false;
     };
 
-    std::size_t setIndex(Addr addr) const;
-    std::uint64_t tagOf(Addr addr) const;
+    std::size_t
+    setIndex(Addr addr) const
+    {
+        return (addr >> blockShift) & (sets - 1);
+    }
+
+    std::uint64_t tagOf(Addr addr) const { return addr >> tagShift; }
+
     Block *findBlock(Addr addr);
     const Block *findBlock(Addr addr) const;
     Block *pickVictim(std::size_t set_base);
 
     Config cfg;
     unsigned sets;
+    /** log2(block bytes), and that plus log2(sets): the index shifts,
+     *  fixed at construction. */
+    unsigned blockShift;
+    unsigned tagShift;
     std::vector<Block> blocks;
     std::uint64_t lruClock = 0;
     std::uint64_t randState = 0x243f6a8885a308d3ULL;

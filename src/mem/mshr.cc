@@ -44,6 +44,11 @@ MshrFile::allocate(Addr block_addr, Cycle ready_at, bool is_prefetch,
             e.dest = dest;
             e.streamId = 0;
             e.slotId = 0;
+            ++inUse_;
+            if (is_prefetch)
+                ++prefetchesInFlight_;
+            if (ready_at < earliestReady)
+                earliestReady = ready_at;
             stAllocations.inc();
             return &e;
         }
@@ -57,44 +62,29 @@ MshrFile::free(MshrEntry &entry)
 {
     panic_if(!entry.valid, "freeing invalid MSHR entry");
     entry.valid = false;
+    --inUse_;
+    if (entry.isPrefetch)
+        --prefetchesInFlight_;
+    if (entry.readyAt == earliestReady)
+        recomputeEarliestReady();
 }
 
-bool
-MshrFile::full() const
+void
+MshrFile::recomputeEarliestReady()
 {
+    earliestReady = kNever;
     for (const auto &e : entries) {
-        if (!e.valid)
-            return false;
+        if (e.valid && e.readyAt < earliestReady)
+            earliestReady = e.readyAt;
     }
-    return true;
-}
-
-unsigned
-MshrFile::inUse() const
-{
-    unsigned n = 0;
-    for (const auto &e : entries) {
-        if (e.valid)
-            ++n;
-    }
-    return n;
-}
-
-unsigned
-MshrFile::prefetchesInFlight() const
-{
-    unsigned n = 0;
-    for (const auto &e : entries) {
-        if (e.valid && e.isPrefetch)
-            ++n;
-    }
-    return n;
 }
 
 std::vector<MshrEntry *>
 MshrFile::ready(Cycle now)
 {
     std::vector<MshrEntry *> out;
+    if (now < earliestReady)
+        return out;
     for (auto &e : entries) {
         if (e.valid && e.readyAt <= now)
             out.push_back(&e);
@@ -102,22 +92,14 @@ MshrFile::ready(Cycle now)
     return out;
 }
 
-Cycle
-MshrFile::nextReadyCycle() const
-{
-    Cycle next = kNever;
-    for (const auto &e : entries) {
-        if (e.valid && e.readyAt < next)
-            next = e.readyAt;
-    }
-    return next;
-}
-
 void
 MshrFile::clear()
 {
     for (auto &e : entries)
         e.valid = false;
+    inUse_ = 0;
+    prefetchesInFlight_ = 0;
+    earliestReady = kNever;
 }
 
 } // namespace fdip

@@ -25,6 +25,11 @@ enum class FillDest : std::uint8_t
     StreamBuffer,    ///< into a stream-buffer slot
 };
 
+/**
+ * One outstanding fill. valid, readyAt and isPrefetch are set only by
+ * MshrFile::allocate() and free(), which keep the file's occupancy
+ * counters; holders of an entry may retarget the remaining fields.
+ */
 struct MshrEntry
 {
     bool valid = false;
@@ -51,9 +56,9 @@ class MshrFile
 
     void free(MshrEntry &entry);
 
-    bool full() const;
-    unsigned inUse() const;
-    unsigned prefetchesInFlight() const;
+    bool full() const { return inUse_ == entries.size(); }
+    unsigned inUse() const { return inUse_; }
+    unsigned prefetchesInFlight() const { return prefetchesInFlight_; }
     unsigned capacity() const
     {
         return static_cast<unsigned>(entries.size());
@@ -66,7 +71,7 @@ class MshrFile
     std::vector<MshrEntry *> ready(Cycle now);
 
     /** Earliest in-flight fill completion; kNever when idle. */
-    Cycle nextReadyCycle() const;
+    Cycle nextReadyCycle() const { return earliestReady; }
 
     void clear();
 
@@ -78,7 +83,14 @@ class MshrFile
     StatSet::Counter stAllocFailures =
         stats.registerCounter("mshr.alloc_failures");
 
+    void recomputeEarliestReady();
+
     std::vector<MshrEntry> entries;
+    /** Occupancy kept by allocate/free/clear, so the per-cycle queries
+     *  do not walk the file. */
+    unsigned inUse_ = 0;
+    unsigned prefetchesInFlight_ = 0;
+    Cycle earliestReady = kNever;
 };
 
 } // namespace fdip

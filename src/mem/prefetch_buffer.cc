@@ -11,26 +11,24 @@ PrefetchBuffer::PrefetchBuffer(unsigned entries)
     : cap(entries)
 {
     fatal_if(entries == 0, "prefetch buffer needs at least one entry");
+    buf.reserve(entries);
 }
 
 bool
 PrefetchBuffer::probe(Addr block_addr) const
 {
-    return std::any_of(buf.begin(), buf.end(),
-                       [&](const Slot &s) { return s.addr == block_addr; });
+    return std::find(buf.begin(), buf.end(), block_addr) != buf.end();
 }
 
 bool
 PrefetchBuffer::consume(Addr block_addr)
 {
-    for (auto it = buf.begin(); it != buf.end(); ++it) {
-        if (it->addr == block_addr) {
-            buf.erase(it);
-            stConsumed.inc();
-            return true;
-        }
-    }
-    return false;
+    auto it = std::find(buf.begin(), buf.end(), block_addr);
+    if (it == buf.end())
+        return false;
+    buf.erase(it);
+    stConsumed.inc();
+    return true;
 }
 
 std::optional<Addr>
@@ -42,11 +40,11 @@ PrefetchBuffer::insert(Addr block_addr)
     }
     std::optional<Addr> evicted;
     if (buf.size() == cap) {
-        evicted = buf.front().addr;
-        buf.pop_front();
+        evicted = buf.front();
+        buf.erase(buf.begin());
         stUnusedEvictions.inc();
     }
-    buf.push_back({block_addr});
+    buf.push_back(block_addr);
     stFills.inc();
     return evicted;
 }

@@ -9,8 +9,8 @@
 #ifndef FDIP_MEM_PREFETCH_BUFFER_HH
 #define FDIP_MEM_PREFETCH_BUFFER_HH
 
-#include <deque>
 #include <optional>
+#include <vector>
 
 #include "common/stats.hh"
 #include "common/types.hh"
@@ -49,12 +49,8 @@ class PrefetchBuffer
     StatSet::Counter stFlushedEntries =
         stats.registerCounter("pfbuf.flushed_entries");
 
-    struct Slot
-    {
-        Addr addr;
-    };
-
-    std::deque<Slot> buf;
+    /** Resident blocks, oldest first; never more than cap of them. */
+    std::vector<Addr> buf;
     unsigned cap;
 };
 

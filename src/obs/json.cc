@@ -254,7 +254,7 @@ struct Parser
 bool
 jsonValidate(const std::string &text, std::string *error)
 {
-    Parser p{text};
+    Parser p{text, 0, {}};
     bool ok = p.value();
     if (ok) {
         p.skipWs();

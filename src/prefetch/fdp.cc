@@ -60,9 +60,9 @@ FdpPrefetcher::probeWaitingEntries(Cycle now)
     // Opportunistically probe unverified PIQ entries with whatever tag
     // ports the demand fetch left idle this cycle.
     std::size_t i = 0;
-    while (i < piq_.size()) {
-        PiqEntry &e = piq_.at(i);
-        if (e.probed) {
+    while (piq_.unprobed() != 0) {
+        const PiqEntry &e = piq_.at(i);
+        if (e.probed()) {
             ++i;
             continue;
         }
@@ -74,7 +74,7 @@ FdpPrefetcher::probeWaitingEntries(Cycle now)
             stCpfFiltered.inc();
             continue; // entry i replaced by its successor
         }
-        e.probed = true;
+        piq_.markProbed(i);
         ++i;
     }
 }
@@ -115,6 +115,16 @@ FdpPrefetcher::issuePrefetches(Cycle now)
     }
 }
 
+std::size_t
+FdpPrefetcher::scanStart() const
+{
+    // Entry 0 is the fetch point (being demand fetched); deeper
+    // entries are the prefetch candidates.
+    std::uint64_t head = ftq.headSeq();
+    return scanSeq > head + 1 ? static_cast<std::size_t>(scanSeq - head)
+                              : 1;
+}
+
 void
 FdpPrefetcher::scanFtq(Cycle now)
 {
@@ -124,9 +134,7 @@ FdpPrefetcher::scanFtq(Cycle now)
         if (tr != nullptr)
             tr->instant("pf_enqueue", kTidPrefetch, "block", block);
     };
-    // Entry 0 is the fetch point (being demand fetched); deeper
-    // entries are the prefetch candidates.
-    for (std::size_t i = 1; i < ftq.size(); ++i) {
+    for (std::size_t i = scanStart(); i < ftq.size(); ++i) {
         FtqEntry &e = ftq.at(i);
         unsigned n_blocks = ftq.numCacheBlocks(i);
         while (e.nextScanBlock < n_blocks) {
@@ -189,6 +197,7 @@ FdpPrefetcher::scanFtq(Cycle now)
             }
             ++e.nextScanBlock;
         }
+        scanSeq = ftq.headSeq() + i + 1;
     }
 }
 
@@ -205,12 +214,8 @@ FdpPrefetcher::nextEventCycle(Cycle now) const
 {
     // Remove-CPF: an unprobed PIQ entry is probed with next cycle's
     // leftover tag ports.
-    if (cfg.mode == CpfMode::Remove) {
-        for (std::size_t i = 0; i < piq_.size(); ++i) {
-            if (!piq_.at(i).probed)
-                return now + 1;
-        }
-    }
+    if (cfg.mode == CpfMode::Remove && piq_.unprobed() != 0)
+        return now + 1;
     Cycle next = kNever;
     if (!piq_.empty()) {
         const PiqEntry &head = piq_.front();
@@ -226,7 +231,7 @@ FdpPrefetcher::nextEventCycle(Cycle now) const
         next = wake;
     }
     if (!piq_.full()) {
-        for (std::size_t i = 1; i < ftq.size(); ++i) {
+        for (std::size_t i = scanStart(); i < ftq.size(); ++i) {
             if (ftq.at(i).nextScanBlock < ftq.numCacheBlocks(i))
                 return now + 1; // unscanned candidates remain
         }

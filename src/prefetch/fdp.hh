@@ -96,6 +96,9 @@ class FdpPrefetcher : public Prefetcher
     void probeWaitingEntries(Cycle now);
     void issuePrefetches(Cycle now);
     void scanFtq(Cycle now);
+    /** FTQ index where the scan resumes: the cursor, but never the
+     *  fetch point (entry 0). */
+    std::size_t scanStart() const;
 
     /** True if the candidate should be dropped before the PIQ. */
     bool recentlyRequested(Addr block_addr) const;
@@ -105,6 +108,13 @@ class FdpPrefetcher : public Prefetcher
     MemHierarchy &mem;
     Config cfg;
     Piq piq_;
+    /**
+     * Scan cursor: FTQ sequence number (Ftq::headSeq() numbering) of
+     * the first entry not yet fully scanned; every queued entry before
+     * it is. Pops and flushes only ever remove entries below the head,
+     * so they move the cursor's index without any bookkeeping here.
+     */
+    std::uint64_t scanSeq = 0;
     std::vector<Addr> recentFilter;
     std::size_t recentNext = 0;
 };

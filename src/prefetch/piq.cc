@@ -16,12 +16,15 @@ Piq::push(Addr block_addr)
     PiqEntry e;
     e.blockAddr = block_addr;
     q.push(e);
+    ++unprobed_;
     stEnqueued.inc();
 }
 
 void
 Piq::popFront()
 {
+    if (!q.front().probed_)
+        --unprobed_;
     q.pop();
 }
 
@@ -30,10 +33,22 @@ Piq::removeAt(std::size_t i)
 {
     // The PIQ is small; compact by shifting (hardware uses a CAM).
     panic_if(i >= q.size(), "PIQ removeAt out of range");
+    if (!q.at(i).probed_)
+        --unprobed_;
     for (std::size_t k = i; k + 1 < q.size(); ++k)
         q.at(k) = q.at(k + 1);
     q.truncate(q.size() - 1);
     stRemoved.inc();
+}
+
+void
+Piq::markProbed(std::size_t i)
+{
+    PiqEntry &e = q.at(i);
+    if (!e.probed_) {
+        e.probed_ = true;
+        --unprobed_;
+    }
 }
 
 bool
@@ -51,6 +66,7 @@ Piq::flush()
 {
     stFlushedEntries.inc(q.size());
     q.clear();
+    unprobed_ = 0;
 }
 
 } // namespace fdip

@@ -20,10 +20,16 @@ struct PiqEntry
 {
     /** Candidate virtual block address from the FTQ scan. */
     Addr blockAddr = invalidAddr;
-    /** Remove-CPF already verified this block misses in the L1. */
-    bool probed = false;
     /** Issue-time translation state (VM runs only). */
     PfTranslationState tr;
+
+    /** Remove-CPF already verified this block misses in the L1. */
+    bool probed() const { return probed_; }
+
+  private:
+    friend class Piq;
+    /** Set only through Piq::markProbed(), which keeps the count. */
+    bool probed_ = false;
 };
 
 class Piq
@@ -46,6 +52,12 @@ class Piq
     /** Remove entry @p i (probe said the block is already cached). */
     void removeAt(std::size_t i);
 
+    /** Record that remove-CPF verified entry @p i misses in the L1. */
+    void markProbed(std::size_t i);
+
+    /** Number of queued entries not yet probed. */
+    std::size_t unprobed() const { return unprobed_; }
+
     bool contains(Addr block_addr) const;
 
     void flush();
@@ -59,6 +71,7 @@ class Piq
         stats.registerCounter("piq.flushed_entries");
 
     CircularQueue<PiqEntry> q;
+    std::size_t unprobed_ = 0;
 };
 
 } // namespace fdip

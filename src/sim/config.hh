@@ -56,6 +56,9 @@ bool schemeIsFdp(PrefetchScheme scheme);
  */
 const std::vector<PrefetchScheme> &allPrefetchSchemes();
 
+/** The registered scheme whose schemeName() is @p name, if any. */
+std::optional<PrefetchScheme> schemeFromName(const std::string &name);
+
 struct SimConfig
 {
     std::string workload = "gcc";

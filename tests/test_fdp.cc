@@ -1,7 +1,12 @@
 /** Tests for the fetch-directed prefetcher and its CPF variants. */
 
+#include <algorithm>
+#include <string>
+#include <vector>
+
 #include <gtest/gtest.h>
 
+#include "common/random.hh"
 #include "frontend/ftq.hh"
 #include "mem/hierarchy.hh"
 #include "prefetch/fdp.hh"
@@ -258,3 +263,115 @@ TEST(Fdp, FillIntoL1AblationSkipsBuffer)
     EXPECT_TRUE(rig.mem.l1i().probe(0x2000));
     EXPECT_FALSE(rig.mem.pfBuffer().probe(0x2000));
 }
+
+namespace
+{
+
+/** Reference scan: the per-entry progress a full rescan from entry 1
+ *  reaches after consuming @p n more blocks from @p state. */
+std::vector<unsigned>
+rescanAdvance(const Ftq &ftq, std::vector<unsigned> state, std::uint64_t n)
+{
+    for (std::size_t i = 1; i < ftq.size() && n > 0; ++i) {
+        while (state[i] < ftq.numCacheBlocks(i) && n > 0) {
+            ++state[i];
+            --n;
+        }
+    }
+    EXPECT_EQ(n, 0u) << "scan examined blocks a rescan cannot find";
+    return state;
+}
+
+std::vector<unsigned>
+scanState(const Ftq &ftq)
+{
+    std::vector<unsigned> s;
+    for (std::size_t i = 0; i < ftq.size(); ++i)
+        s.push_back(ftq.at(i).nextScanBlock);
+    return s;
+}
+
+class FdpCursor : public ::testing::TestWithParam<CpfMode>
+{};
+
+} // namespace
+
+TEST_P(FdpCursor, CandidateStreamMatchesFullRescan)
+{
+    // Randomized push/pop/flush script. Each cycle the cursor scan
+    // must consume exactly the blocks a full rescan from entry 1 would
+    // visit next, in order; it may stop short of its width only on a
+    // full PIQ (or, for conservative enqueue-CPF, a missing tag port),
+    // and nextEventCycle() must see any unscanned block it left.
+    Rig rig;
+    FdpPrefetcher::Config c;
+    c.mode = GetParam();
+    c.scanWidth = 3;
+    c.piqEntries = 6;
+    FdpPrefetcher fdp(rig.ftq, rig.mem, c);
+    Rng rng(0xcafe + static_cast<unsigned>(GetParam()));
+    std::uint64_t consumed = 0;
+    for (Cycle t = 1; t < 6000; ++t) {
+        for (int k = static_cast<int>(rng.below(3)); k > 0; --k) {
+            if (!rig.ftq.full()) {
+                rig.pushBlock(0x4000 + rng.below(512) * instBytes,
+                              static_cast<unsigned>(rng.range(1, 16)));
+            }
+        }
+        if (!rig.ftq.empty() && rng.chance(0.4))
+            rig.ftq.popHead();
+        if (rng.chance(0.02)) {
+            rig.ftq.flush();
+            fdp.onRedirect(t);
+        }
+
+        rig.mem.tick(t);
+        if (rng.chance(0.3))
+            rig.mem.reserveTagPort(); // a demand fetch took a port
+        std::vector<unsigned> before = scanState(rig.ftq);
+        std::uint64_t unscanned = 0;
+        for (std::size_t i = 1; i < rig.ftq.size(); ++i)
+            unscanned += rig.ftq.numCacheBlocks(i) - before[i];
+        std::uint64_t cands = fdp.stats.counter("fdp.candidates");
+        std::uint64_t no_port = fdp.stats.counter("fdp.enqueue_no_port");
+        fdp.tick(t);
+        std::uint64_t examined = fdp.stats.counter("fdp.candidates") - cands;
+        // Conservative enqueue-CPF examines a candidate it then leaves
+        // unscanned when no tag port is idle.
+        if (c.mode == CpfMode::Enqueue)
+            examined -= fdp.stats.counter("fdp.enqueue_no_port") - no_port;
+        consumed += examined;
+
+        std::vector<unsigned> after = scanState(rig.ftq);
+        ASSERT_EQ(after, rescanAdvance(rig.ftq, before, examined))
+            << "cycle " << t;
+        if (examined < std::min<std::uint64_t>(c.scanWidth, unscanned) &&
+            c.mode != CpfMode::Enqueue) {
+            ASSERT_TRUE(fdp.piq().full()) << "cycle " << t;
+        }
+        bool left = false;
+        for (std::size_t i = 1; i < rig.ftq.size(); ++i)
+            left |= after[i] < rig.ftq.numCacheBlocks(i);
+        if (left && !fdp.piq().full()) {
+            ASSERT_EQ(fdp.nextEventCycle(t), t + 1) << "cycle " << t;
+        }
+        if (!left && fdp.piq().empty()) {
+            ASSERT_EQ(fdp.nextEventCycle(t), kNever) << "cycle " << t;
+        }
+    }
+    EXPECT_GT(consumed, 1000u);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    AllCpfModes, FdpCursor,
+    ::testing::Values(CpfMode::None, CpfMode::Enqueue,
+                      CpfMode::EnqueueAggressive, CpfMode::Remove,
+                      CpfMode::Ideal),
+    [](const ::testing::TestParamInfo<CpfMode> &info) {
+        std::string n = cpfModeName(info.param);
+        for (char &ch : n) {
+            if (ch == '-')
+                ch = '_';
+        }
+        return n;
+    });

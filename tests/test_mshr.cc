@@ -1,7 +1,11 @@
 /** Tests for the MSHR file. */
 
+#include <algorithm>
+#include <vector>
+
 #include <gtest/gtest.h>
 
+#include "common/random.hh"
 #include "mem/mshr.hh"
 
 using namespace fdip;
@@ -81,4 +85,70 @@ TEST(MshrDeath, DoubleFree)
     MshrEntry *e = m.allocate(0x1000, 1, false, FillDest::DemandL1);
     m.free(*e);
     EXPECT_DEATH(m.free(*e), "invalid");
+}
+
+TEST(Mshr, KeptOccupancyMatchesBruteForceRecount)
+{
+    // Randomized allocate/free/clear script against a reference list:
+    // inUse, prefetchesInFlight, full, nextReadyCycle and ready(now)
+    // always equal a recount over the live entries.
+    struct Ref
+    {
+        Addr addr;
+        Cycle readyAt;
+        bool isPrefetch;
+    };
+    MshrFile m(6);
+    std::vector<Ref> ref;
+    Rng rng(0x5a0);
+    Cycle now = 0;
+    for (int step = 0; step < 20000; ++step) {
+        now += rng.below(3);
+        std::uint64_t op = rng.below(20);
+        if (op < 9) {
+            Addr a = 0x1000 + rng.below(32) * 32;
+            bool dup = std::any_of(ref.begin(), ref.end(),
+                                   [&](const Ref &r) { return r.addr == a; });
+            if (!dup) {
+                Cycle ready = now + rng.below(40);
+                bool pf = rng.chance(0.5);
+                MshrEntry *e = m.allocate(a, ready, pf, FillDest::DemandL1);
+                ASSERT_EQ(e != nullptr, ref.size() < m.capacity());
+                if (e != nullptr)
+                    ref.push_back({a, ready, pf});
+            }
+        } else if (op < 18 && !ref.empty()) {
+            std::size_t k = rng.below(ref.size());
+            m.free(*m.find(ref[k].addr));
+            ref.erase(ref.begin() + static_cast<std::ptrdiff_t>(k));
+        } else if (op == 18) {
+            // Drain whatever has arrived, as MemHierarchy::tick does.
+            for (MshrEntry *e : m.ready(now))
+                m.free(*e);
+            std::erase_if(ref, [&](const Ref &r) { return r.readyAt <= now; });
+        } else if (op == 19 && rng.chance(0.1)) {
+            m.clear();
+            ref.clear();
+        }
+
+        unsigned pf = 0;
+        Cycle earliest = kNever;
+        std::vector<Addr> arrived;
+        for (const Ref &r : ref) {
+            pf += r.isPrefetch ? 1 : 0;
+            earliest = std::min(earliest, r.readyAt);
+            if (r.readyAt <= now)
+                arrived.push_back(r.addr);
+        }
+        ASSERT_EQ(m.inUse(), ref.size()) << "step " << step;
+        ASSERT_EQ(m.prefetchesInFlight(), pf) << "step " << step;
+        ASSERT_EQ(m.full(), ref.size() == m.capacity()) << "step " << step;
+        ASSERT_EQ(m.nextReadyCycle(), earliest) << "step " << step;
+        std::vector<Addr> got;
+        for (MshrEntry *e : m.ready(now))
+            got.push_back(e->blockAddr);
+        std::sort(got.begin(), got.end());
+        std::sort(arrived.begin(), arrived.end());
+        ASSERT_EQ(got, arrived) << "step " << step;
+    }
 }

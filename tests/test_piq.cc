@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include "common/random.hh"
 #include "prefetch/piq.hh"
 
 using namespace fdip;
@@ -20,9 +21,9 @@ TEST(Piq, EntriesStartUnprobed)
 {
     Piq piq(4);
     piq.push(0x1000);
-    EXPECT_FALSE(piq.front().probed);
-    piq.front().probed = true;
-    EXPECT_TRUE(piq.at(0).probed);
+    EXPECT_FALSE(piq.front().probed());
+    piq.markProbed(0);
+    EXPECT_TRUE(piq.at(0).probed());
 }
 
 TEST(Piq, Contains)
@@ -73,4 +74,30 @@ TEST(PiqDeath, OverflowAndRange)
     piq.push(0x1000);
     EXPECT_DEATH(piq.push(0x2000), "full");
     EXPECT_DEATH(piq.removeAt(1), "out of range");
+}
+
+TEST(Piq, UnprobedCountMatchesBruteForceRecount)
+{
+    // Randomized push/pop/remove/probe/flush script: the kept count of
+    // unprobed entries always equals a recount over the queue.
+    Piq piq(8);
+    Rng rng(0x919);
+    for (int step = 0; step < 20000; ++step) {
+        std::uint64_t op = rng.below(20);
+        if (op < 7 && !piq.full()) {
+            piq.push(0x1000 + rng.below(64) * 32);
+        } else if (op < 11 && !piq.empty()) {
+            piq.markProbed(rng.below(piq.size()));
+        } else if (op < 15 && !piq.empty()) {
+            piq.popFront();
+        } else if (op < 19 && !piq.empty()) {
+            piq.removeAt(rng.below(piq.size()));
+        } else if (op == 19) {
+            piq.flush();
+        }
+        std::size_t recount = 0;
+        for (std::size_t i = 0; i < piq.size(); ++i)
+            recount += piq.at(i).probed() ? 0 : 1;
+        ASSERT_EQ(piq.unprobed(), recount) << "step " << step;
+    }
 }

@@ -237,6 +237,19 @@ TEST(SchemeConformanceRegistry, SchemeAxisIsPairwiseDistinct)
     }
 }
 
+TEST(SchemeConformanceRegistry, NamesRoundTripThroughRegistry)
+{
+    // Command-line front ends parse schemes with schemeFromName(), so
+    // every registered scheme is reachable by its printed name.
+    for (PrefetchScheme s : allPrefetchSchemes()) {
+        auto parsed = schemeFromName(schemeName(s));
+        ASSERT_TRUE(parsed.has_value()) << schemeName(s);
+        EXPECT_EQ(*parsed, s);
+    }
+    EXPECT_FALSE(schemeFromName("no-such-scheme").has_value());
+    EXPECT_FALSE(schemeFromName("").has_value());
+}
+
 INSTANTIATE_TEST_SUITE_P(
     AllSchemes, SchemeConformance,
     ::testing::Range(std::size_t(0), registry().size()),
