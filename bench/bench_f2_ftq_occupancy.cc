@@ -34,7 +34,8 @@ render(Runner &runner)
 
     // One full rendered distribution for a representative workload.
     const SimResults &gcc = runner.run("gcc", PrefetchScheme::None);
-    print("\n" + gcc.ftqOccupancy.render("gcc FTQ occupancy"));
+    print("\n");
+    print(gcc.ftqOccupancy.render("gcc FTQ occupancy"));
 }
 
 ExperimentSpec

@@ -173,7 +173,9 @@ render(Runner &runner)
         double lo = 0.0, hi = 0.0;
         for (std::size_t c = 0; c < r.perCore.size(); ++c) {
             double ipc = r.perCore[c].ipc;
-            ipcs += (c > 0 ? " " : "") + AsciiTable::num(ipc, 3);
+            if (c > 0)
+                ipcs += ' ';
+            ipcs += AsciiTable::num(ipc, 3);
             lo = c == 0 ? ipc : std::min(lo, ipc);
             hi = c == 0 ? ipc : std::max(hi, ipc);
         }

@@ -30,7 +30,8 @@ main(int argc, char **argv)
         auto tweak = [depth](SimConfig &cfg) {
             cfg.ftqEntries = depth;
         };
-        std::string key = "d" + std::to_string(depth);
+        std::string key = "d";
+        key += std::to_string(depth);
         double sp = runner.speedup(workload, PrefetchScheme::FdpRemove,
                                    key, tweak);
         const SimResults &r = runner.run(

@@ -1,7 +1,5 @@
 #include "prefetch/fdp.hh"
 
-#include <algorithm>
-
 #include "common/logging.hh"
 #include "obs/tracer.hh"
 
@@ -24,7 +22,7 @@ cpfModeName(CpfMode mode)
 FdpPrefetcher::FdpPrefetcher(Ftq &ftq_ref, MemHierarchy &mem_ref,
                              const Config &config)
     : ftq(ftq_ref), mem(mem_ref), cfg(config), piq_(cfg.piqEntries),
-      recentFilter(cfg.recentFilterEntries, invalidAddr)
+      recent(cfg.recentFilterEntries)
 {
     fatal_if(cfg.scanWidth == 0, "FDP scan width must be nonzero");
     fatal_if(cfg.issueWidth == 0, "FDP issue width must be nonzero");
@@ -34,22 +32,6 @@ std::string
 FdpPrefetcher::name() const
 {
     return strprintf("fdp-%s", cpfModeName(cfg.mode));
-}
-
-bool
-FdpPrefetcher::recentlyRequested(Addr block_addr) const
-{
-    return std::find(recentFilter.begin(), recentFilter.end(),
-                     block_addr) != recentFilter.end();
-}
-
-void
-FdpPrefetcher::markRequested(Addr block_addr)
-{
-    if (recentFilter.empty())
-        return;
-    recentFilter[recentNext] = block_addr;
-    recentNext = (recentNext + 1) % recentFilter.size();
 }
 
 void
@@ -147,7 +129,7 @@ FdpPrefetcher::scanFtq(Cycle now)
             ++examined;
             stCandidates.inc();
 
-            if (recentlyRequested(cand) || piq_.contains(cand) ||
+            if (recent.contains(cand) || piq_.contains(cand) ||
                 mem.prefetchRedundant(pcand)) {
                 stDedupDropped.inc();
                 ++e.nextScanBlock;
@@ -158,7 +140,7 @@ FdpPrefetcher::scanFtq(Cycle now)
               case CpfMode::None:
               case CpfMode::Remove:
                 piq_.push(cand);
-                markRequested(cand);
+                recent.insert(cand);
                 traceEnqueue(cand);
                 break;
               case CpfMode::Enqueue:
@@ -171,7 +153,7 @@ FdpPrefetcher::scanFtq(Cycle now)
                     }
                     // Aggressive: enqueue unprobed.
                     piq_.push(cand);
-                    markRequested(cand);
+                    recent.insert(cand);
                     traceEnqueue(cand);
                     break;
                 }
@@ -180,7 +162,7 @@ FdpPrefetcher::scanFtq(Cycle now)
                     stCpfFiltered.inc();
                 } else {
                     piq_.push(cand);
-                    markRequested(cand);
+                    recent.insert(cand);
                     traceEnqueue(cand);
                 }
                 break;
@@ -190,7 +172,7 @@ FdpPrefetcher::scanFtq(Cycle now)
                     stCpfFiltered.inc();
                 } else {
                     piq_.push(cand);
-                    markRequested(cand);
+                    recent.insert(cand);
                     traceEnqueue(cand);
                 }
                 break;
@@ -223,12 +205,9 @@ FdpPrefetcher::nextEventCycle(Cycle now) const
         // attempt next cycle; a waiting head wakes at walk completion
         // (kNever while its walk is queued for a walker — the MMU's
         // own events cover the start).
-        if (!head.tr.translated)
-            return now + 1;
-        Cycle wake = translationWakeCycle(head.tr, now);
-        if (wake <= now + 1)
-            return now + 1;
-        next = wake;
+        next = translationWakeCycle(head.tr, now);
+        if (next == now + 1)
+            return next;
     }
     if (!piq_.full()) {
         for (std::size_t i = scanStart(); i < ftq.size(); ++i) {
@@ -245,10 +224,8 @@ FdpPrefetcher::chargeIdleCycles(Cycle now, Cycle cycles)
     // The only per-cycle charge of a quiescent tick: the head-of-line
     // candidate waiting on its page walk (no walk completes inside a
     // charged window, so pending-now means pending throughout).
-    if (!piq_.empty() && piq_.front().tr.translated &&
-        translationWaiting(piq_.front().tr)) {
+    if (!piq_.empty() && translationWaiting(piq_.front().tr))
         stTlbWaitStalls.inc(cycles);
-    }
 }
 
 void

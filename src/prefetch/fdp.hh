@@ -21,11 +21,10 @@
 #ifndef FDIP_PREFETCH_FDP_HH
 #define FDIP_PREFETCH_FDP_HH
 
-#include <vector>
-
 #include "frontend/ftq.hh"
 #include "prefetch/piq.hh"
 #include "prefetch/prefetcher.hh"
+#include "prefetch/recent_filter.hh"
 
 namespace fdip
 {
@@ -100,10 +99,6 @@ class FdpPrefetcher : public Prefetcher
      *  fetch point (entry 0). */
     std::size_t scanStart() const;
 
-    /** True if the candidate should be dropped before the PIQ. */
-    bool recentlyRequested(Addr block_addr) const;
-    void markRequested(Addr block_addr);
-
     Ftq &ftq;
     MemHierarchy &mem;
     Config cfg;
@@ -115,8 +110,8 @@ class FdpPrefetcher : public Prefetcher
      * so they move the cursor's index without any bookkeeping here.
      */
     std::uint64_t scanSeq = 0;
-    std::vector<Addr> recentFilter;
-    std::size_t recentNext = 0;
+    /** Recently requested blocks: dropped before the PIQ. */
+    RecentFilter recent;
 };
 
 } // namespace fdip

@@ -15,6 +15,7 @@
 
 #include "bpu/bpu.hh"
 #include "prefetch/prefetcher.hh"
+#include "prefetch/recent_filter.hh"
 #include "trace/executor.hh"
 
 namespace fdip
@@ -48,17 +49,13 @@ class OraclePrefetcher : public Prefetcher
     StatSet::Counter stCandidates =
         stats.registerCounter("oracle.candidates");
 
-    bool recentlyRequested(Addr block) const;
-    void markRequested(Addr block);
-
     TraceWindow &trace;
     const Bpu &bpu;
     MemHierarchy &mem;
     Config cfg;
     /** Next trace position to scan for candidate blocks. */
     InstSeqNum scanSeq = 0;
-    std::vector<Addr> recentFilter;
-    std::size_t recentNext = 0;
+    RecentFilter recent;
     std::vector<Addr> pending;
 };
 

@@ -127,9 +127,9 @@ class Prefetcher
     }
 
     /**
-     * Earliest cycle a translated candidate can act, for
-     * nextEventCycle(): now + 1 when its walk is done (or it never
-     * had one), the completion cycle while the walk is active, and
+     * Earliest cycle a candidate can act, for nextEventCycle(): now + 1
+     * when it is untranslated or its walk is done (or it never had
+     * one), the completion cycle while the walk is active, and
      * kNever while the walk is still queued for a walker — the
      * MMU's own walker-completion events cover the start, so the
      * machine is guaranteed to tick before the state can change.
@@ -148,10 +148,10 @@ class Prefetcher
     }
 
     /**
-     * Is this translated candidate still waiting on an in-flight
-     * walk? Used by chargeIdleCycles() to bulk-apply head-of-line
-     * TLB-wait counters across a quiescent window (the caller
-     * guarantees no walk completes inside the window).
+     * Is this candidate still waiting on an in-flight walk (never
+     * true untranslated)? Used by chargeIdleCycles() to bulk-apply
+     * head-of-line TLB-wait counters across a quiescent window (the
+     * caller guarantees no walk completes inside the window).
      */
     bool
     translationWaiting(const PfTranslationState &state) const

@@ -183,11 +183,9 @@ StreamBufferPrefetcher::nextEventCycle(Cycle now) const
         // events cover the start).
         if (!b.active || b.requestInFlight || b.slots.size() >= cfg.depth)
             continue;
-        if (!b.tr.translated)
-            return now + 1;
         Cycle wake = translationWakeCycle(b.tr, now);
-        if (wake <= now + 1)
-            return now + 1;
+        if (wake == now + 1)
+            return wake;
         if (wake < next)
             next = wake;
     }
@@ -203,7 +201,7 @@ StreamBufferPrefetcher::chargeIdleCycles(Cycle now, Cycle cycles)
     std::uint64_t waiting = 0;
     for (const Buffer &b : buffers) {
         if (b.active && !b.requestInFlight && b.slots.size() < cfg.depth &&
-            b.tr.translated && translationWaiting(b.tr)) {
+            translationWaiting(b.tr)) {
             ++waiting;
         }
     }

@@ -97,14 +97,24 @@ schemeFromName(const std::string &name)
     return std::nullopt;
 }
 
+std::optional<CpfMode>
+fdpModeOf(PrefetchScheme scheme)
+{
+    switch (scheme) {
+      case PrefetchScheme::FdpNone: return CpfMode::None;
+      case PrefetchScheme::FdpEnqueue: return CpfMode::Enqueue;
+      case PrefetchScheme::FdpEnqueueAggressive:
+        return CpfMode::EnqueueAggressive;
+      case PrefetchScheme::FdpRemove: return CpfMode::Remove;
+      case PrefetchScheme::FdpIdeal: return CpfMode::Ideal;
+      default: return std::nullopt;
+    }
+}
+
 bool
 schemeIsFdp(PrefetchScheme scheme)
 {
-    return scheme == PrefetchScheme::FdpNone ||
-        scheme == PrefetchScheme::FdpEnqueue ||
-        scheme == PrefetchScheme::FdpEnqueueAggressive ||
-        scheme == PrefetchScheme::FdpRemove ||
-        scheme == PrefetchScheme::FdpIdeal;
+    return fdpModeOf(scheme).has_value();
 }
 
 std::uint64_t
@@ -182,7 +192,6 @@ SimConfig::fingerprint() const
     f.u64(vm.tlbPrefetchFilterEntries);
 
     f.u64(static_cast<std::uint64_t>(scheme));
-    f.u64(static_cast<std::uint64_t>(fdp.mode));
     f.u64(fdp.piqEntries);
     f.u64(fdp.scanWidth);
     f.u64(fdp.issueWidth);
@@ -245,6 +254,8 @@ SimConfig::validate() const
     fatal_if(usePartitionedBtb && bpu.blockBased,
              "partitioned BTB requires the conventional (non-FTB) "
              "front-end");
+    fatal_if(nlp.queueEntries == 0,
+             "NLP prefetch queue needs at least one entry");
     fatal_if(mana.regionBlocks == 0 || mana.regionBlocks > 64 ||
                  !isPowerOf2(mana.regionBlocks),
              "MANA region size must be a power-of-two block count "

@@ -46,6 +46,9 @@ enum class PrefetchScheme
 };
 
 const char *schemeName(PrefetchScheme scheme);
+/** The cache-probe-filtering mode of an FDP scheme; nullopt for every
+ *  other scheme. */
+std::optional<CpfMode> fdpModeOf(PrefetchScheme scheme);
 bool schemeIsFdp(PrefetchScheme scheme);
 
 /**
@@ -114,7 +117,7 @@ struct SimConfig
     VmConfig vm;
 
     PrefetchScheme scheme = PrefetchScheme::None;
-    FdpPrefetcher::Config fdp;
+    FdpPrefetcher::Config fdp; ///< fdp.mode is ignored: scheme decides it
     NlpPrefetcher::Config nlp;
     StreamBufferPrefetcher::Config sb;
     OraclePrefetcher::Config oracle;

@@ -160,15 +160,19 @@ encodeResultsBody(std::string &out, const SimResults &r)
     out += strprintf("ftq_occupancy %llu",
                      static_cast<unsigned long long>(
                          r.ftqOccupancy.numBuckets()));
-    for (std::size_t v = 0; v < r.ftqOccupancy.numBuckets(); ++v)
-        out += " " + u64str(r.ftqOccupancy.bucket(v));
+    for (std::size_t v = 0; v < r.ftqOccupancy.numBuckets(); ++v) {
+        out += ' ';
+        out += u64str(r.ftqOccupancy.bucket(v));
+    }
     out += "\n";
 
     out += strprintf("pf_timeliness %llu",
                      static_cast<unsigned long long>(
                          r.pfTimeliness.numBuckets()));
-    for (std::size_t v = 0; v < r.pfTimeliness.numBuckets(); ++v)
-        out += " " + u64str(r.pfTimeliness.bucket(v));
+    for (std::size_t v = 0; v < r.pfTimeliness.numBuckets(); ++v) {
+        out += ' ';
+        out += u64str(r.pfTimeliness.bucket(v));
+    }
     out += "\n";
 
     const auto &entries = r.stats.entries();

@@ -197,16 +197,7 @@ Simulator::buildCore(Core &c, unsigned id)
       case PrefetchScheme::FdpRemove:
       case PrefetchScheme::FdpIdeal: {
         FdpPrefetcher::Config fc = cfg.fdp;
-        if (cfg.scheme == PrefetchScheme::FdpNone)
-            fc.mode = CpfMode::None;
-        else if (cfg.scheme == PrefetchScheme::FdpEnqueue)
-            fc.mode = CpfMode::Enqueue;
-        else if (cfg.scheme == PrefetchScheme::FdpEnqueueAggressive)
-            fc.mode = CpfMode::EnqueueAggressive;
-        else if (cfg.scheme == PrefetchScheme::FdpRemove)
-            fc.mode = CpfMode::Remove;
-        else
-            fc.mode = CpfMode::Ideal;
+        fc.mode = *fdpModeOf(cfg.scheme);
         c.prefetchers.push_back(
             std::make_unique<FdpPrefetcher>(*c.ftq, *c.mem, fc));
         if (cfg.combineNlp) {

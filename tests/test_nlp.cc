@@ -2,7 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include "common/error.hh"
 #include "prefetch/nlp.hh"
+#include "sim/config.hh"
 
 using namespace fdip;
 
@@ -148,4 +150,19 @@ TEST(Nlp, PendingQueueDedupes)
     rig.mem.tick(200);
     nlp.tick(200);
     EXPECT_EQ(rig.mem.stats.counter("mem.prefetches_issued"), 1u);
+}
+
+TEST(Nlp, ZeroQueueEntriesAreRejected)
+{
+    // Both the config check and the prefetcher itself refuse an empty
+    // queue: the first trigger would otherwise pop an empty deque.
+    setFatalMode(FatalMode::Throw);
+    SimConfig cfg;
+    cfg.scheme = PrefetchScheme::Nlp;
+    cfg.nlp.queueEntries = 0;
+    EXPECT_THROW(cfg.validate(), SimError);
+
+    Rig rig;
+    EXPECT_THROW(NlpPrefetcher(rig.mem, {.queueEntries = 0}), SimError);
+    setFatalMode(FatalMode::Abort);
 }
