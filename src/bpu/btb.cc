@@ -7,7 +7,7 @@ namespace fdip
 {
 
 Btb::Btb(const Config &config)
-    : cfg(config), entries(std::size_t(cfg.sets) * cfg.ways)
+    : cfg(config), table(cfg.sets, cfg.ways)
 {
     fatal_if(!isPowerOf2(cfg.sets), "BTB sets must be a power of two");
     fatal_if(cfg.ways == 0, "BTB needs at least one way");
@@ -50,15 +50,10 @@ std::optional<BtbHit>
 Btb::lookup(Addr pc)
 {
     stLookups.inc();
-    std::size_t base = setIndex(pc) * cfg.ways;
-    std::uint64_t tag = tagOf(pc);
-    for (unsigned w = 0; w < cfg.ways; ++w) {
-        Entry &e = entries[base + w];
-        if (e.valid && e.tag == tag) {
-            e.lruStamp = ++lruClock;
-            stHits.inc();
-            return BtbHit{e.cls, e.target};
-        }
+    if (Entry *e = table.find(setIndex(pc), tagOf(pc))) {
+        table.touch(*e);
+        stHits.inc();
+        return BtbHit{e->cls, e->target};
     }
     stMisses.inc();
     return std::nullopt;
@@ -91,52 +86,35 @@ Btb::insert(Addr pc, InstClass cls, Addr target)
         stInsertRejected.inc();
         return;
     }
-    std::size_t base = setIndex(pc) * cfg.ways;
+    std::size_t set = setIndex(pc);
     std::uint64_t tag = tagOf(pc);
 
     // Update in place on tag match.
-    for (unsigned w = 0; w < cfg.ways; ++w) {
-        Entry &e = entries[base + w];
-        if (e.valid && e.tag == tag) {
-            e.cls = cls;
-            e.target = target;
-            e.lruStamp = ++lruClock;
-            stUpdates.inc();
-            return;
-        }
+    if (Entry *e = table.find(set, tag)) {
+        e->cls = cls;
+        e->target = target;
+        table.touch(*e);
+        stUpdates.inc();
+        return;
     }
     // Otherwise fill an invalid way, or evict the LRU way.
-    Entry *victim = &entries[base];
-    for (unsigned w = 0; w < cfg.ways; ++w) {
-        Entry &e = entries[base + w];
-        if (!e.valid) {
-            victim = &e;
-            break;
-        }
-        if (e.lruStamp < victim->lruStamp)
-            victim = &e;
-    }
-    if (victim->valid)
+    Entry &victim = table.victim(set);
+    if (victim.valid)
         stEvictions.inc();
-    victim->valid = true;
-    victim->tag = tag;
-    victim->cls = cls;
-    victim->target = target;
-    victim->lruStamp = ++lruClock;
+    victim.valid = true;
+    victim.tag = tag;
+    victim.cls = cls;
+    victim.target = target;
+    table.touch(victim);
     stInserts.inc();
 }
 
 void
 Btb::invalidate(Addr pc)
 {
-    std::size_t base = setIndex(pc) * cfg.ways;
-    std::uint64_t tag = tagOf(pc);
-    for (unsigned w = 0; w < cfg.ways; ++w) {
-        Entry &e = entries[base + w];
-        if (e.valid && e.tag == tag) {
-            e.valid = false;
-            stInvalidations.inc();
-        }
+    if (Entry *e = table.find(setIndex(pc), tagOf(pc))) {
+        e->valid = false;
+        stInvalidations.inc();
     }
 }
 
@@ -160,17 +138,6 @@ Btb::name() const
 {
     return strprintf("btb[%ux%u,tag=%u,off=%u]", cfg.sets, cfg.ways,
                      cfg.tagBits, cfg.offsetBits);
-}
-
-unsigned
-Btb::validEntries() const
-{
-    unsigned n = 0;
-    for (const auto &e : entries) {
-        if (e.valid)
-            ++n;
-    }
-    return n;
 }
 
 } // namespace fdip

@@ -13,8 +13,8 @@
 
 #include <optional>
 #include <string>
-#include <vector>
 
+#include "common/set_assoc.hh"
 #include "common/stats.hh"
 #include "common/types.hh"
 #include "trace/instr.hh"
@@ -95,7 +95,7 @@ class Btb : public BtbIface
     unsigned numEntries() const { return cfg.sets * cfg.ways; }
 
     /** Count of currently valid entries (for tests/occupancy stats). */
-    unsigned validEntries() const;
+    unsigned validEntries() const { return table.validCount(); }
 
   private:
     StatSet::Counter stLookups = stats.registerCounter("btb.lookups");
@@ -109,21 +109,17 @@ class Btb : public BtbIface
     StatSet::Counter stInvalidations =
         stats.registerCounter("btb.invalidations");
 
-    struct Entry
+    struct Entry : SetAssocEntry
     {
-        bool valid = false;
-        std::uint64_t tag = 0;
         InstClass cls = InstClass::NonCF;
         Addr target = invalidAddr;
-        std::uint64_t lruStamp = 0;
     };
 
     std::size_t setIndex(Addr pc) const;
     std::uint64_t tagOf(Addr pc) const;
 
     Config cfg;
-    std::vector<Entry> entries;
-    std::uint64_t lruClock = 0;
+    SetAssocTable<Entry> table;
 };
 
 } // namespace fdip

@@ -7,7 +7,7 @@ namespace fdip
 {
 
 Ftb::Ftb(const Config &config)
-    : cfg(config), entries(std::size_t(cfg.sets) * cfg.ways)
+    : cfg(config), table(cfg.sets, cfg.ways)
 {
     fatal_if(!isPowerOf2(cfg.sets), "FTB sets must be a power of two");
     fatal_if(cfg.ways == 0, "FTB needs at least one way");
@@ -37,15 +37,10 @@ std::optional<FtbBlock>
 Ftb::lookup(Addr start_pc)
 {
     stLookups.inc();
-    std::size_t base = setIndex(start_pc) * cfg.ways;
-    std::uint64_t tag = tagOf(start_pc);
-    for (unsigned w = 0; w < cfg.ways; ++w) {
-        Entry &e = entries[base + w];
-        if (e.valid && e.tag == tag) {
-            e.lruStamp = ++lruClock;
-            stHits.inc();
-            return FtbBlock{e.numInsts, e.cls, e.target};
-        }
+    if (Entry *e = table.find(setIndex(start_pc), tagOf(start_pc))) {
+        table.touch(*e);
+        stHits.inc();
+        return FtbBlock{e->numInsts, e->cls, e->target};
     }
     stMisses.inc();
     return std::nullopt;
@@ -61,52 +56,35 @@ Ftb::insert(Addr start_pc, unsigned num_insts, InstClass cls, Addr target)
         stInsertTruncated.inc();
         return;
     }
-    std::size_t base = setIndex(start_pc) * cfg.ways;
+    std::size_t set = setIndex(start_pc);
     std::uint64_t tag = tagOf(start_pc);
 
-    for (unsigned w = 0; w < cfg.ways; ++w) {
-        Entry &e = entries[base + w];
-        if (e.valid && e.tag == tag) {
-            e.numInsts = static_cast<std::uint8_t>(num_insts);
-            e.cls = cls;
-            e.target = target;
-            e.lruStamp = ++lruClock;
-            stUpdates.inc();
-            return;
-        }
+    if (Entry *e = table.find(set, tag)) {
+        e->numInsts = static_cast<std::uint8_t>(num_insts);
+        e->cls = cls;
+        e->target = target;
+        table.touch(*e);
+        stUpdates.inc();
+        return;
     }
-    Entry *victim = &entries[base];
-    for (unsigned w = 0; w < cfg.ways; ++w) {
-        Entry &e = entries[base + w];
-        if (!e.valid) {
-            victim = &e;
-            break;
-        }
-        if (e.lruStamp < victim->lruStamp)
-            victim = &e;
-    }
-    if (victim->valid)
+    Entry &victim = table.victim(set);
+    if (victim.valid)
         stEvictions.inc();
-    victim->valid = true;
-    victim->tag = tag;
-    victim->numInsts = static_cast<std::uint8_t>(num_insts);
-    victim->cls = cls;
-    victim->target = target;
-    victim->lruStamp = ++lruClock;
+    victim.valid = true;
+    victim.tag = tag;
+    victim.numInsts = static_cast<std::uint8_t>(num_insts);
+    victim.cls = cls;
+    victim.target = target;
+    table.touch(victim);
     stInserts.inc();
 }
 
 void
 Ftb::invalidate(Addr start_pc)
 {
-    std::size_t base = setIndex(start_pc) * cfg.ways;
-    std::uint64_t tag = tagOf(start_pc);
-    for (unsigned w = 0; w < cfg.ways; ++w) {
-        Entry &e = entries[base + w];
-        if (e.valid && e.tag == tag) {
-            e.valid = false;
-            stInvalidations.inc();
-        }
+    if (Entry *e = table.find(setIndex(start_pc), tagOf(start_pc))) {
+        e->valid = false;
+        stInvalidations.inc();
     }
 }
 
@@ -120,17 +98,6 @@ std::uint64_t
 Ftb::storageBits() const
 {
     return std::uint64_t(numEntries()) * entryBits();
-}
-
-unsigned
-Ftb::validEntries() const
-{
-    unsigned n = 0;
-    for (const auto &e : entries) {
-        if (e.valid)
-            ++n;
-    }
-    return n;
 }
 
 std::string

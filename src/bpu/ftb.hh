@@ -11,8 +11,8 @@
 
 #include <optional>
 #include <string>
-#include <vector>
 
+#include "common/set_assoc.hh"
 #include "common/stats.hh"
 #include "common/types.hh"
 #include "trace/instr.hh"
@@ -56,7 +56,7 @@ class Ftb
     std::uint64_t storageBits() const;
     unsigned fullTagBits() const;
     unsigned numEntries() const { return cfg.sets * cfg.ways; }
-    unsigned validEntries() const;
+    unsigned validEntries() const { return table.validCount(); }
     std::string name() const;
 
     const Config &config() const { return cfg; }
@@ -75,22 +75,18 @@ class Ftb
     StatSet::Counter stInvalidations =
         stats.registerCounter("ftb.invalidations");
 
-    struct Entry
+    struct Entry : SetAssocEntry
     {
-        bool valid = false;
-        std::uint64_t tag = 0;
         std::uint8_t numInsts = 0;
         InstClass cls = InstClass::NonCF;
         Addr target = invalidAddr;
-        std::uint64_t lruStamp = 0;
     };
 
     std::size_t setIndex(Addr pc) const;
     std::uint64_t tagOf(Addr pc) const;
 
     Config cfg;
-    std::vector<Entry> entries;
-    std::uint64_t lruClock = 0;
+    SetAssocTable<Entry> table;
 };
 
 } // namespace fdip

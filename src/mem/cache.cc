@@ -18,31 +18,12 @@ Cache::Cache(const Config &config)
     fatal_if(num_blocks == 0 || num_blocks % cfg.assoc != 0,
              "cache '%s': size/assoc/block geometry invalid",
              cfg.name.c_str());
-    sets = static_cast<unsigned>(num_blocks / cfg.assoc);
+    unsigned sets = static_cast<unsigned>(num_blocks / cfg.assoc);
     fatal_if(!isPowerOf2(sets), "cache '%s': set count must be 2^n",
              cfg.name.c_str());
     blockShift = floorLog2(cfg.blockBytes);
     tagShift = blockShift + floorLog2(sets);
-    blocks.resize(num_blocks);
-}
-
-Cache::Block *
-Cache::findBlock(Addr addr)
-{
-    std::size_t base = setIndex(addr) * cfg.assoc;
-    std::uint64_t tag = tagOf(addr);
-    for (unsigned w = 0; w < cfg.assoc; ++w) {
-        Block &b = blocks[base + w];
-        if (b.valid && b.tag == tag)
-            return &b;
-    }
-    return nullptr;
-}
-
-const Cache::Block *
-Cache::findBlock(Addr addr) const
-{
-    return const_cast<Cache *>(this)->findBlock(addr);
+    blocks = SetAssocTable<Block>(sets, cfg.assoc);
 }
 
 bool
@@ -69,7 +50,7 @@ Cache::access(Addr addr)
     if (Block *b = findBlock(addr)) {
         // FIFO ignores access recency: the stamp is fill time only.
         if (cfg.repl == ReplPolicy::Lru)
-            b->lruStamp = ++lruClock;
+            blocks.touch(*b);
         stHits.inc();
         return true;
     }
@@ -77,55 +58,43 @@ Cache::access(Addr addr)
     return false;
 }
 
-Cache::Block *
-Cache::pickVictim(std::size_t set_base)
+Cache::Block &
+Cache::pickVictim(std::size_t set)
 {
-    // Invalid ways fill first under every policy.
-    for (unsigned w = 0; w < cfg.assoc; ++w) {
-        if (!blocks[set_base + w].valid)
-            return &blocks[set_base + w];
-    }
-    if (cfg.repl == ReplPolicy::Random) {
-        // xorshift64 way choice: cheap and deterministic per run.
-        randState ^= randState << 13;
-        randState ^= randState >> 7;
-        randState ^= randState << 17;
-        return &blocks[set_base + randState % cfg.assoc];
-    }
-    // LRU and FIFO both evict the smallest stamp; they differ in
-    // whether access() refreshes it.
-    Block *victim = &blocks[set_base];
-    for (unsigned w = 1; w < cfg.assoc; ++w) {
-        if (blocks[set_base + w].lruStamp < victim->lruStamp)
-            victim = &blocks[set_base + w];
-    }
-    return victim;
+    // Invalid ways fill first under every policy. LRU and FIFO both
+    // evict the smallest stamp; they differ in whether access()
+    // refreshes it.
+    Block &victim = blocks.victim(set);
+    if (!victim.valid || cfg.repl != ReplPolicy::Random)
+        return victim;
+    // xorshift64 way choice: cheap and deterministic per run.
+    randState ^= randState << 13;
+    randState ^= randState >> 7;
+    randState ^= randState << 17;
+    return blocks.way(set, unsigned(randState % cfg.assoc));
 }
 
 std::optional<Addr>
 Cache::insert(Addr addr, bool first_use_tag)
 {
-    std::size_t base = setIndex(addr) * cfg.assoc;
-    std::uint64_t tag = tagOf(addr);
-
     if (Block *b = findBlock(addr)) {
         // Already present (e.g. duplicate fill): refresh only.
-        b->lruStamp = ++lruClock;
+        blocks.touch(*b);
         return std::nullopt;
     }
 
-    Block *victim = pickVictim(base);
+    std::uint64_t set = setIndex(addr);
+    Block &victim = pickVictim(set);
 
     std::optional<Addr> evicted;
-    if (victim->valid) {
+    if (victim.valid) {
         stEvictions.inc();
-        std::uint64_t set = setIndex(addr);
-        evicted = (victim->tag << tagShift) | (set << blockShift);
+        evicted = (victim.tag << tagShift) | (set << blockShift);
     }
-    victim->valid = true;
-    victim->tag = tag;
-    victim->lruStamp = ++lruClock;
-    victim->firstUseTag = first_use_tag;
+    victim.valid = true;
+    victim.tag = tagOf(addr);
+    blocks.touch(victim);
+    victim.firstUseTag = first_use_tag;
     stFills.inc();
     return evicted;
 }
@@ -151,17 +120,6 @@ Cache::consumeFirstUse(Addr addr)
         }
     }
     return false;
-}
-
-unsigned
-Cache::validBlocks() const
-{
-    unsigned n = 0;
-    for (const auto &b : blocks) {
-        if (b.valid)
-            ++n;
-    }
-    return n;
 }
 
 } // namespace fdip

@@ -10,8 +10,8 @@
 
 #include <optional>
 #include <string>
-#include <vector>
 
+#include "common/set_assoc.hh"
 #include "common/stats.hh"
 #include "common/types.hh"
 
@@ -70,9 +70,9 @@ class Cache
     bool consumeFirstUse(Addr addr);
 
     const Config &config() const { return cfg; }
-    unsigned numSets() const { return sets; }
-    unsigned numBlocks() const { return sets * cfg.assoc; }
-    unsigned validBlocks() const;
+    unsigned numSets() const { return blocks.sets(); }
+    unsigned numBlocks() const { return numSets() * cfg.assoc; }
+    unsigned validBlocks() const { return blocks.validCount(); }
 
     StatSet stats;
 
@@ -85,34 +85,39 @@ class Cache
     StatSet::Counter stInvalidations =
         stats.registerCounter("cache.invalidations");
 
-    struct Block
+    struct Block : SetAssocEntry
     {
-        bool valid = false;
-        std::uint64_t tag = 0;
-        std::uint64_t lruStamp = 0;
         bool firstUseTag = false;
     };
 
     std::size_t
     setIndex(Addr addr) const
     {
-        return (addr >> blockShift) & (sets - 1);
+        return (addr >> blockShift) & (blocks.sets() - 1);
     }
 
     std::uint64_t tagOf(Addr addr) const { return addr >> tagShift; }
 
-    Block *findBlock(Addr addr);
-    const Block *findBlock(Addr addr) const;
-    Block *pickVictim(std::size_t set_base);
+    Block *
+    findBlock(Addr addr)
+    {
+        return blocks.find(setIndex(addr), tagOf(addr));
+    }
+
+    const Block *
+    findBlock(Addr addr) const
+    {
+        return blocks.find(setIndex(addr), tagOf(addr));
+    }
+
+    Block &pickVictim(std::size_t set);
 
     Config cfg;
-    unsigned sets;
     /** log2(block bytes), and that plus log2(sets): the index shifts,
      *  fixed at construction. */
     unsigned blockShift;
     unsigned tagShift;
-    std::vector<Block> blocks;
-    std::uint64_t lruClock = 0;
+    SetAssocTable<Block> blocks;
     std::uint64_t randState = 0x243f6a8885a308d3ULL;
 };
 

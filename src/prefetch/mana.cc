@@ -19,7 +19,7 @@ ManaPrefetcher::ManaPrefetcher(MemHierarchy &mem_ref, const Config &config)
     fatal_if(cfg.tableWays == 0, "MANA table needs at least one way");
     fatal_if(cfg.chainLength == 0,
              "MANA chain length must be at least 1 (the entered region)");
-    table.resize(std::size_t(cfg.tableSets) * cfg.tableWays);
+    table = SetAssocTable<Entry>(cfg.tableSets, cfg.tableWays);
 }
 
 unsigned
@@ -50,9 +50,9 @@ ManaPrefetcher::regionBytes() const
 }
 
 std::size_t
-ManaPrefetcher::setBase(std::uint64_t region) const
+ManaPrefetcher::setIndex(std::uint64_t region) const
 {
-    return std::size_t(region & (cfg.tableSets - 1)) * cfg.tableWays;
+    return std::size_t(region & (cfg.tableSets - 1));
 }
 
 std::uint64_t
@@ -64,16 +64,10 @@ ManaPrefetcher::tagOf(std::uint64_t region) const
 ManaPrefetcher::Entry *
 ManaPrefetcher::find(std::uint64_t region)
 {
-    std::size_t base = setBase(region);
-    std::uint64_t tag = tagOf(region);
-    for (unsigned w = 0; w < cfg.tableWays; ++w) {
-        Entry &e = table[base + w];
-        if (e.valid && e.tag == tag) {
-            e.lruStamp = ++lruClock;
-            return &e;
-        }
-    }
-    return nullptr;
+    Entry *e = table.find(setIndex(region), tagOf(region));
+    if (e != nullptr)
+        table.touch(*e);
+    return e;
 }
 
 void
@@ -94,18 +88,8 @@ ManaPrefetcher::recordRegion(std::uint64_t region,
         stRecordUpdates.inc();
         return;
     }
-    std::size_t base = setBase(region);
-    Entry *victim = &table[base];
-    for (unsigned w = 0; w < cfg.tableWays; ++w) {
-        Entry &e = table[base + w];
-        if (!e.valid) {
-            victim = &e;
-            break;
-        }
-        if (e.lruStamp < victim->lruStamp)
-            victim = &e;
-    }
-    if (victim->valid) {
+    Entry &victim = table.victim(setIndex(region));
+    if (victim.valid) {
         stEvictions.inc();
     } else {
         // Live-metadata accounting: bytes grow only while cold ways
@@ -113,12 +97,12 @@ ManaPrefetcher::recordRegion(std::uint64_t region,
         // gauge, so the warmup-window subtraction stays meaningful).
         stTableBytes.inc((entryBits(cfg) + 7) / 8);
     }
-    victim->valid = true;
-    victim->tag = tagOf(region);
-    victim->footprint = footprint;
-    victim->successor = successor;
-    victim->hasSuccessor = true;
-    victim->lruStamp = ++lruClock;
+    victim.valid = true;
+    victim.tag = tagOf(region);
+    victim.footprint = footprint;
+    victim.successor = successor;
+    victim.hasSuccessor = true;
+    table.touch(victim);
 }
 
 void

@@ -17,8 +17,7 @@
 #ifndef FDIP_PREFETCH_MANA_HH
 #define FDIP_PREFETCH_MANA_HH
 
-#include <vector>
-
+#include "common/set_assoc.hh"
 #include "prefetch/queued_prefetcher.hh"
 
 namespace fdip
@@ -59,20 +58,17 @@ class ManaPrefetcher : public QueuedPrefetcher
     static std::uint64_t tableCapacityBytes(const Config &config);
 
   private:
-    struct Entry
+    struct Entry : SetAssocEntry
     {
-        bool valid = false;
-        std::uint64_t tag = 0;
         std::uint64_t footprint = 0; ///< bit per block in the region
         std::uint64_t successor = 0; ///< next region the stream entered
         bool hasSuccessor = false;
-        std::uint64_t lruStamp = 0;
     };
 
     static constexpr std::uint64_t kNoRegion = ~std::uint64_t(0);
 
     std::uint64_t regionBytes() const;
-    std::size_t setBase(std::uint64_t region) const;
+    std::size_t setIndex(std::uint64_t region) const;
     std::uint64_t tagOf(std::uint64_t region) const;
     Entry *find(std::uint64_t region);
     void recordRegion(std::uint64_t region, std::uint64_t footprint,
@@ -97,8 +93,7 @@ class ManaPrefetcher : public QueuedPrefetcher
 
     Config cfg;
 
-    std::vector<Entry> table;
-    std::uint64_t lruClock = 0;
+    SetAssocTable<Entry> table;
     std::uint64_t curRegion = kNoRegion;
     std::uint64_t curFootprint = 0;
 };

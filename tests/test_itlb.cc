@@ -93,7 +93,7 @@ TEST(PageTable, DeterministicForAGivenSeed)
 
 TEST(Itlb, GeometryDerived)
 {
-    Itlb tlb({8, 2});
+    Tlb tlb("itlb", {8, 2});
     EXPECT_EQ(tlb.numEntries(), 8u);
     EXPECT_EQ(tlb.numSets(), 4u);
     EXPECT_EQ(tlb.validEntries(), 0u);
@@ -101,7 +101,7 @@ TEST(Itlb, GeometryDerived)
 
 TEST(Itlb, MissFillHit)
 {
-    Itlb tlb({8, 2});
+    Tlb tlb("itlb", {8, 2});
     EXPECT_FALSE(tlb.access(5));
     tlb.insert(5);
     EXPECT_TRUE(tlb.access(5));
@@ -112,7 +112,7 @@ TEST(Itlb, MissFillHit)
 
 TEST(Itlb, LookupHasNoSideEffects)
 {
-    Itlb tlb({8, 2});
+    Tlb tlb("itlb", {8, 2});
     tlb.insert(5);
     std::uint64_t accesses = tlb.stats.counter("itlb.accesses");
     EXPECT_TRUE(tlb.lookup(5));
@@ -122,7 +122,7 @@ TEST(Itlb, LookupHasNoSideEffects)
 
 TEST(Itlb, LruEvictionWithinSet)
 {
-    Itlb tlb({8, 2}); // 4 sets x 2 ways; same set stride = 4
+    Tlb tlb("itlb", {8, 2}); // 4 sets x 2 ways; same set stride = 4
     tlb.insert(0);
     tlb.insert(4);
     EXPECT_TRUE(tlb.access(0)); // 0 is MRU, 4 is LRU
@@ -135,7 +135,7 @@ TEST(Itlb, LruEvictionWithinSet)
 
 TEST(Itlb, ReinsertRefreshesInsteadOfDuplicating)
 {
-    Itlb tlb({8, 2});
+    Tlb tlb("itlb", {8, 2});
     tlb.insert(0);
     tlb.insert(0);
     EXPECT_EQ(tlb.validEntries(), 1u);
@@ -144,7 +144,7 @@ TEST(Itlb, ReinsertRefreshesInsteadOfDuplicating)
 
 TEST(Itlb, Invalidate)
 {
-    Itlb tlb({8, 2});
+    Tlb tlb("itlb", {8, 2});
     tlb.insert(3);
     EXPECT_TRUE(tlb.invalidate(3));
     EXPECT_FALSE(tlb.lookup(3));
@@ -153,9 +153,9 @@ TEST(Itlb, Invalidate)
 
 TEST(ItlbDeath, BadGeometryRejected)
 {
-    EXPECT_DEATH({ Itlb t({0, 1}); }, "at least one entry");
-    EXPECT_DEATH({ Itlb t({8, 3}); }, "divide evenly");
-    EXPECT_DEATH({ Itlb t({24, 2}); }, "power of two");
+    EXPECT_DEATH({ Tlb t("itlb", {0, 1}); }, "at least one entry");
+    EXPECT_DEATH({ Tlb t("itlb", {8, 3}); }, "divide evenly");
+    EXPECT_DEATH({ Tlb t("itlb", {24, 2}); }, "power of two");
 }
 
 TEST(Mmu, DisabledIsAZeroCostPassthrough)

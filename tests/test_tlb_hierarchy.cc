@@ -1,6 +1,6 @@
 /**
  * Tests for the two-level TLB hierarchy and bounded page-walk
- * bandwidth (vm/l2_tlb.hh, the reworked vm/mmu.hh walk queue) and the
+ * bandwidth (vm/tlb.hh, the reworked vm/mmu.hh walk queue) and the
  * decoupled FTQ TLB prefetcher (vm/tlb_prefetcher.hh):
  *  - L2-TLB hit/miss/evict accounting and the ITLB-refill path,
  *  - demand walks queueing ahead of (and upgrading) prefetch walks at
@@ -54,16 +54,15 @@ page(unsigned i)
 
 TEST(L2Tlb, GeometryDerived)
 {
-    L2Tlb tlb({16, 4, 8});
+    Tlb tlb("l2tlb", {16, 4});
     EXPECT_EQ(tlb.numEntries(), 16u);
     EXPECT_EQ(tlb.numSets(), 4u);
-    EXPECT_EQ(tlb.hitLatency(), 8u);
     EXPECT_EQ(tlb.validEntries(), 0u);
 }
 
 TEST(L2Tlb, MissFillHitAccounting)
 {
-    L2Tlb tlb({16, 4, 8});
+    Tlb tlb("l2tlb", {16, 4});
     EXPECT_FALSE(tlb.access(5));
     tlb.insert(5);
     EXPECT_TRUE(tlb.access(5));
@@ -75,7 +74,7 @@ TEST(L2Tlb, MissFillHitAccounting)
 
 TEST(L2Tlb, LookupHasNoSideEffects)
 {
-    L2Tlb tlb({16, 4, 8});
+    Tlb tlb("l2tlb", {16, 4});
     tlb.insert(5);
     std::uint64_t accesses = tlb.stats.counter("l2tlb.accesses");
     EXPECT_TRUE(tlb.lookup(5));
@@ -85,7 +84,7 @@ TEST(L2Tlb, LookupHasNoSideEffects)
 
 TEST(L2Tlb, LruEvictionWithinSet)
 {
-    L2Tlb tlb({8, 2, 8}); // 4 sets x 2 ways; same-set stride = 4
+    Tlb tlb("l2tlb", {8, 2}); // 4 sets x 2 ways; same-set stride = 4
     tlb.insert(0);
     tlb.insert(4);
     EXPECT_TRUE(tlb.access(0)); // 0 is MRU, 4 is LRU
@@ -98,10 +97,9 @@ TEST(L2Tlb, LruEvictionWithinSet)
 
 TEST(L2TlbDeath, BadGeometryRejected)
 {
-    EXPECT_DEATH({ L2Tlb t({0, 1, 8}); }, "at least one entry");
-    EXPECT_DEATH({ L2Tlb t({8, 3, 8}); }, "divide evenly");
-    EXPECT_DEATH({ L2Tlb t({24, 2, 8}); }, "power of two");
-    EXPECT_DEATH({ L2Tlb t({8, 2, 0}); }, "latency");
+    EXPECT_DEATH({ Tlb t("l2tlb", {0, 1}); }, "at least one entry");
+    EXPECT_DEATH({ Tlb t("l2tlb", {8, 3}); }, "divide evenly");
+    EXPECT_DEATH({ Tlb t("l2tlb", {24, 2}); }, "power of two");
 }
 
 TEST(MmuHierarchy, L2DisabledByDefault)
@@ -403,6 +401,13 @@ TEST(TlbHierarchyDeath, BadKnobsRejected)
     slow.vm.l2TlbAssoc = 4;
     slow.vm.l2TlbLatency = slow.vm.walkLatency; // not faster than a walk
     EXPECT_DEATH({ Simulator s(slow); }, "beat a full page walk");
+
+    SimConfig instant = makeBaselineConfig("li", PrefetchScheme::None);
+    applyVmConfig(instant);
+    instant.vm.l2TlbEntries = 16;
+    instant.vm.l2TlbAssoc = 4;
+    instant.vm.l2TlbLatency = 0;
+    EXPECT_DEATH({ Simulator s(instant); }, "hit latency must be nonzero");
 
     SimConfig pf = makeBaselineConfig("li", PrefetchScheme::None);
     applyVmConfig(pf);
