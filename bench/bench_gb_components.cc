@@ -8,6 +8,7 @@
 
 #include "bpu/btb.hh"
 #include "bpu/hybrid.hh"
+#include "bpu/partitioned_btb.hh"
 #include "frontend/ftq.hh"
 #include "mem/cache.hh"
 #include "mem/hierarchy.hh"
@@ -17,6 +18,8 @@
 #include "trace/executor.hh"
 #include "trace/profile.hh"
 #include "trace/synth_builder.hh"
+#include "vm/mmu.hh"
+#include "vm/tlb_prefetcher.hh"
 
 using namespace fdip;
 
@@ -52,6 +55,38 @@ BM_BtbLookup(benchmark::State &state)
     }
 }
 BENCHMARK(BM_BtbLookup);
+
+static void
+BM_PartitionedBtbLookup(benchmark::State &state)
+{
+    // The FDIP-X BTB (2048-entry budget, four offset-width partitions,
+    // 16-bit tags) warmed with a branch every fifth instruction of a
+    // 64 KB region: mostly short offsets, some 13- and 23-bit ones and
+    // a few indirects. Each iteration probes one 8-PC block, as the
+    // BPU does; the walk visits hits and misses in every partition.
+    PartitionedBtb pbtb(PartitionedBtb::makeDefaultConfig(2048));
+    const Addr base = 0x400000;
+    const Addr span = 64 * 1024;
+    unsigned n = 0;
+    for (Addr pc = base; pc < base + span; pc += 5 * instBytes, ++n) {
+        switch (n % 16) {
+          case 0: pbtb.insert(pc, InstClass::IndJump, base); break;
+          case 1: pbtb.insert(pc, InstClass::Call, pc + 3000 * instBytes);
+            break;
+          case 2: pbtb.insert(pc, InstClass::Jump, pc - 200000 * instBytes);
+            break;
+          default: pbtb.insert(pc, InstClass::CondBr, pc + 40 * instBytes);
+        }
+    }
+    Addr start = base;
+    for (auto _ : state) {
+        for (unsigned i = 0; i < 8; ++i)
+            benchmark::DoNotOptimize(pbtb.lookup(start + i * instBytes));
+        start = base + ((start - base + 8 * instBytes) & (span - 1));
+    }
+    state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_PartitionedBtbLookup);
 
 static void
 BM_HybridPredict(benchmark::State &state)
@@ -118,6 +153,50 @@ BM_FdpTick(benchmark::State &state)
     state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_FdpTick);
+
+static void
+BM_TlbPrefetcherTick(benchmark::State &state)
+{
+    // The translation lookahead behind a full 32-entry FTQ that
+    // rotates one entry a cycle: the fetch engine retires the head and
+    // the BPU appends a block 208 bytes on, so a new page enters every
+    // ~20 cycles and a 1 MB footprint keeps the 64-page filter
+    // evicting.
+    VmConfig vm;
+    vm.enable = true;
+    vm.pageBytes = 4096;
+    vm.l2TlbEntries = 512;
+    vm.l2TlbAssoc = 4;
+    vm.numWalkers = 2;
+    vm.prefetchPolicy = TlbPrefetchPolicy::Wait;
+    const Addr base = 0x400000;
+    const Addr span = 1 << 20;
+    Mmu mmu(vm, base, base + span);
+    Ftq ftq(32, 32);
+    TlbPrefetcher pf(ftq, mmu, {});
+    Addr pc = base;
+    auto push = [&] {
+        FetchBlock b;
+        b.startPc = pc;
+        b.numInsts = 6;
+        b.validLen = 6;
+        ftq.push(b);
+        pc = base + ((pc - base + 52 * instBytes) & (span - 1));
+    };
+    while (!ftq.full())
+        push();
+    Cycle now = 0;
+    for (auto _ : state) {
+        ++now;
+        mmu.tick(now);
+        pf.tick(now);
+        benchmark::DoNotOptimize(pf.nextEventCycle(now));
+        ftq.popHead();
+        push();
+    }
+    state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_TlbPrefetcherTick);
 
 static void
 BM_MshrReady(benchmark::State &state)

@@ -7,7 +7,11 @@ namespace fdip
 {
 
 Btb::Btb(const Config &config)
-    : cfg(config), table(cfg.sets, cfg.ways)
+    : cfg(config), idxBits(floorLog2(cfg.sets)),
+      // A compressed tag keeps its low 8 bits verbatim.
+      lowBits(cfg.tagBits < 8 ? cfg.tagBits : 8),
+      lowMask((std::uint64_t(1) << lowBits) - 1),
+      highBits(cfg.tagBits - lowBits), table(cfg.sets, cfg.ways)
 {
     fatal_if(!isPowerOf2(cfg.sets), "BTB sets must be a power of two");
     fatal_if(cfg.ways == 0, "BTB needs at least one way");
@@ -15,48 +19,11 @@ Btb::Btb(const Config &config)
              "BTB tag wider than the full tag");
 }
 
-std::size_t
-Btb::setIndex(Addr pc) const
-{
-    return (pc / instBytes) & (cfg.sets - 1);
-}
-
 unsigned
 Btb::fullTagBits() const
 {
     // VA bits minus word-alignment bits minus set-index bits.
-    unsigned idx_bits = floorLog2(cfg.sets);
-    return cfg.vaBits - 2 - idx_bits;
-}
-
-std::uint64_t
-Btb::tagOf(Addr pc) const
-{
-    std::uint64_t full = (pc / instBytes) >> floorLog2(cfg.sets);
-    if (cfg.tagBits == 0)
-        return full;
-    // Keep the low 8 bits verbatim; fold the rest by XOR into the
-    // remaining high bits of the compressed tag.
-    unsigned low_bits = cfg.tagBits < 8 ? cfg.tagBits : 8;
-    std::uint64_t low_mask = (std::uint64_t(1) << low_bits) - 1;
-    std::uint64_t low = full & low_mask;
-    if (cfg.tagBits <= 8)
-        return low;
-    std::uint64_t high = foldXor(full >> low_bits, cfg.tagBits - low_bits);
-    return (high << low_bits) | low;
-}
-
-std::optional<BtbHit>
-Btb::lookup(Addr pc)
-{
-    stLookups.inc();
-    if (Entry *e = table.find(setIndex(pc), tagOf(pc))) {
-        table.touch(*e);
-        stHits.inc();
-        return BtbHit{e->cls, e->target};
-    }
-    stMisses.inc();
-    return std::nullopt;
+    return cfg.vaBits - 2 - idxBits;
 }
 
 bool
@@ -99,10 +66,9 @@ Btb::insert(Addr pc, InstClass cls, Addr target)
     }
     // Otherwise fill an invalid way, or evict the LRU way.
     Entry &victim = table.victim(set);
-    if (victim.valid)
+    if (table.valid(victim))
         stEvictions.inc();
-    victim.valid = true;
-    victim.tag = tag;
+    table.fill(victim, tag);
     victim.cls = cls;
     victim.target = target;
     table.touch(victim);
@@ -113,7 +79,7 @@ void
 Btb::invalidate(Addr pc)
 {
     if (Entry *e = table.find(setIndex(pc), tagOf(pc))) {
-        e->valid = false;
+        table.invalidate(*e);
         stInvalidations.inc();
     }
 }

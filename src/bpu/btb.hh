@@ -14,6 +14,7 @@
 #include <optional>
 #include <string>
 
+#include "common/intmath.hh"
 #include "common/set_assoc.hh"
 #include "common/stats.hh"
 #include "common/types.hh"
@@ -49,7 +50,7 @@ class BtbIface
     StatSet stats;
 };
 
-class Btb : public BtbIface
+class Btb final : public BtbIface
 {
   public:
     struct Config
@@ -76,7 +77,21 @@ class Btb : public BtbIface
 
     explicit Btb(const Config &config);
 
-    std::optional<BtbHit> lookup(Addr pc) override;
+    /** Inline, so the partitioned BTB's probe of each partition
+     *  compiles to a straight scan of one tag row. */
+    std::optional<BtbHit>
+    lookup(Addr pc) override
+    {
+        stLookups.inc();
+        if (Entry *e = table.find(setIndex(pc), tagOf(pc))) {
+            table.touch(*e);
+            stHits.inc();
+            return BtbHit{e->cls, e->target};
+        }
+        stMisses.inc();
+        return std::nullopt;
+    }
+
     void insert(Addr pc, InstClass cls, Addr target) override;
     void invalidate(Addr pc) override;
     std::uint64_t storageBits() const override;
@@ -115,10 +130,33 @@ class Btb : public BtbIface
         Addr target = invalidAddr;
     };
 
-    std::size_t setIndex(Addr pc) const;
-    std::uint64_t tagOf(Addr pc) const;
+    std::size_t
+    setIndex(Addr pc) const
+    {
+        return (pc / instBytes) & (cfg.sets - 1);
+    }
+
+    std::uint64_t
+    tagOf(Addr pc) const
+    {
+        std::uint64_t full = (pc / instBytes) >> idxBits;
+        if (cfg.tagBits == 0)
+            return full;
+        // Keep the low bits verbatim; fold the rest by XOR into the
+        // remaining high bits of the compressed tag.
+        std::uint64_t low = full & lowMask;
+        if (highBits == 0)
+            return low;
+        return (foldXor(full >> lowBits, highBits) << lowBits) | low;
+    }
 
     Config cfg;
+    /** Tag geometry, fixed at construction: set-index bits, and the
+     *  verbatim low and XOR-folded high widths of a compressed tag. */
+    unsigned idxBits;
+    unsigned lowBits;
+    std::uint64_t lowMask;
+    unsigned highBits;
     SetAssocTable<Entry> table;
 };
 

@@ -7,7 +7,7 @@ namespace fdip
 {
 
 Ftb::Ftb(const Config &config)
-    : cfg(config), table(cfg.sets, cfg.ways)
+    : cfg(config), idxBits(floorLog2(cfg.sets)), table(cfg.sets, cfg.ways)
 {
     fatal_if(!isPowerOf2(cfg.sets), "FTB sets must be a power of two");
     fatal_if(cfg.ways == 0, "FTB needs at least one way");
@@ -15,22 +15,10 @@ Ftb::Ftb(const Config &config)
              "FTB block size out of range");
 }
 
-std::size_t
-Ftb::setIndex(Addr pc) const
-{
-    return (pc / instBytes) & (cfg.sets - 1);
-}
-
-std::uint64_t
-Ftb::tagOf(Addr pc) const
-{
-    return (pc / instBytes) >> floorLog2(cfg.sets);
-}
-
 unsigned
 Ftb::fullTagBits() const
 {
-    return cfg.vaBits - 2 - floorLog2(cfg.sets);
+    return cfg.vaBits - 2 - idxBits;
 }
 
 std::optional<FtbBlock>
@@ -68,10 +56,9 @@ Ftb::insert(Addr start_pc, unsigned num_insts, InstClass cls, Addr target)
         return;
     }
     Entry &victim = table.victim(set);
-    if (victim.valid)
+    if (table.valid(victim))
         stEvictions.inc();
-    victim.valid = true;
-    victim.tag = tag;
+    table.fill(victim, tag);
     victim.numInsts = static_cast<std::uint8_t>(num_insts);
     victim.cls = cls;
     victim.target = target;
@@ -83,7 +70,7 @@ void
 Ftb::invalidate(Addr start_pc)
 {
     if (Entry *e = table.find(setIndex(start_pc), tagOf(start_pc))) {
-        e->valid = false;
+        table.invalidate(*e);
         stInvalidations.inc();
     }
 }

@@ -82,10 +82,17 @@ class Ftb
         Addr target = invalidAddr;
     };
 
-    std::size_t setIndex(Addr pc) const;
-    std::uint64_t tagOf(Addr pc) const;
+    std::size_t
+    setIndex(Addr pc) const
+    {
+        return (pc / instBytes) & (cfg.sets - 1);
+    }
+
+    std::uint64_t tagOf(Addr pc) const { return (pc / instBytes) >> idxBits; }
 
     Config cfg;
+    /** log2(sets), fixed at construction. */
+    unsigned idxBits;
     SetAssocTable<Entry> table;
 };
 

@@ -66,15 +66,6 @@ class Ftq
      */
     std::uint64_t headSeq() const { return headSeq_; }
 
-    /**
-     * Monotonic content-change counter: entries ever removed plus
-     * entries ever pushed, so every push, popHead and non-empty flush
-     * moves it. Scanners whose verdict is a pure function of the
-     * queue's entries (e.g. the TLB prefetcher's fixed-point check)
-     * memoize against it instead of rescanning every cycle.
-     */
-    std::uint64_t version() const { return 2 * headSeq_ + q.size(); }
-
     /** Number of cache blocks entry @p i spans. */
     unsigned
     numCacheBlocks(std::size_t i) const

@@ -65,7 +65,7 @@ Cache::pickVictim(std::size_t set)
     // evict the smallest stamp; they differ in whether access()
     // refreshes it.
     Block &victim = blocks.victim(set);
-    if (!victim.valid || cfg.repl != ReplPolicy::Random)
+    if (!blocks.valid(victim) || cfg.repl != ReplPolicy::Random)
         return victim;
     // xorshift64 way choice: cheap and deterministic per run.
     randState ^= randState << 13;
@@ -87,12 +87,11 @@ Cache::insert(Addr addr, bool first_use_tag)
     Block &victim = pickVictim(set);
 
     std::optional<Addr> evicted;
-    if (victim.valid) {
+    if (blocks.valid(victim)) {
         stEvictions.inc();
-        evicted = (victim.tag << tagShift) | (set << blockShift);
+        evicted = (blocks.tag(victim) << tagShift) | (set << blockShift);
     }
-    victim.valid = true;
-    victim.tag = tagOf(addr);
+    blocks.fill(victim, tagOf(addr));
     blocks.touch(victim);
     victim.firstUseTag = first_use_tag;
     stFills.inc();
@@ -103,7 +102,7 @@ bool
 Cache::invalidate(Addr addr)
 {
     if (Block *b = findBlock(addr)) {
-        b->valid = false;
+        blocks.invalidate(*b);
         stInvalidations.inc();
         return true;
     }

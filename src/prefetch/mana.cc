@@ -9,7 +9,7 @@ namespace fdip
 ManaPrefetcher::ManaPrefetcher(MemHierarchy &mem_ref, const Config &config)
     : QueuedPrefetcher(mem_ref, "mana", config.queueEntries,
                        config.fillIntoL1),
-      cfg(config)
+      cfg(config), setBits(floorLog2(cfg.tableSets))
 {
     fatal_if(cfg.regionBlocks == 0 || cfg.regionBlocks > 64 ||
                  !isPowerOf2(cfg.regionBlocks),
@@ -58,7 +58,7 @@ ManaPrefetcher::setIndex(std::uint64_t region) const
 std::uint64_t
 ManaPrefetcher::tagOf(std::uint64_t region) const
 {
-    return region >> floorLog2(cfg.tableSets);
+    return region >> setBits;
 }
 
 ManaPrefetcher::Entry *
@@ -89,7 +89,7 @@ ManaPrefetcher::recordRegion(std::uint64_t region,
         return;
     }
     Entry &victim = table.victim(setIndex(region));
-    if (victim.valid) {
+    if (table.valid(victim)) {
         stEvictions.inc();
     } else {
         // Live-metadata accounting: bytes grow only while cold ways
@@ -97,8 +97,7 @@ ManaPrefetcher::recordRegion(std::uint64_t region,
         // gauge, so the warmup-window subtraction stays meaningful).
         stTableBytes.inc((entryBits(cfg) + 7) / 8);
     }
-    victim.valid = true;
-    victim.tag = tagOf(region);
+    table.fill(victim, tagOf(region));
     victim.footprint = footprint;
     victim.successor = successor;
     victim.hasSuccessor = true;

@@ -92,6 +92,8 @@ class ManaPrefetcher : public QueuedPrefetcher
         stats.registerCounter("mana.queue_drops");
 
     Config cfg;
+    /** log2(table sets), fixed at construction. */
+    unsigned setBits;
 
     SetAssocTable<Entry> table;
     std::uint64_t curRegion = kNoRegion;

@@ -55,10 +55,9 @@ Tlb::insert(Addr vpn)
         return;
     }
     SetAssocEntry &victim = table.victim(setIndex(vpn));
-    if (victim.valid)
+    if (table.valid(victim))
         stEvictions.inc();
-    victim.valid = true;
-    victim.tag = vpn;
+    table.fill(victim, vpn);
     table.touch(victim);
     stFills.inc();
 }
@@ -69,7 +68,7 @@ Tlb::invalidate(Addr vpn)
     SetAssocEntry *e = table.find(setIndex(vpn), vpn);
     if (e == nullptr)
         return false;
-    e->valid = false;
+    table.invalidate(*e);
     return true;
 }
 

@@ -28,33 +28,38 @@ void
 TlbPrefetcher::markProbed(Addr vpn)
 {
     Addr evicted = recentVpns[recentNext];
-    if (evicted != invalidAddr)
+    if (evicted != invalidAddr) {
         recentSet.erase(evicted);
+        // The evicted page may be on an entry below the cursor.
+        scanSeq = 0;
+    }
     recentVpns[recentNext] = vpn;
     recentSet.insert(vpn);
     recentNext = (recentNext + 1) % recentVpns.size();
-    // Evicting a page may re-expose an FTQ page: drop the memo.
-    idleValid = false;
 }
 
 bool
 TlbPrefetcher::atFixedPoint() const
 {
-    if (idleValid && idleVersion == ftq.version())
-        return true;
-    for (std::size_t i = 1; i < ftq.size(); ++i) {
+    // Entry 0 is the fetch point (its translation is the demand
+    // fetch's own walk); deeper entries are the lookahead.
+    std::uint64_t head = ftq.headSeq();
+    std::size_t i = scanSeq > head + 1 ? std::size_t(scanSeq - head) : 1;
+    Addr prev = invalidAddr;
+    for (; i < ftq.size(); ++i) {
         unsigned n_blocks = ftq.numCacheBlocks(i);
         for (unsigned k = 0; k < n_blocks; ++k) {
             Addr vpn = mmu.pageTable().vpn(ftq.cacheBlockAddr(i, k));
-            if (!recentlyProbed(vpn))
+            if (vpn == prev)
+                continue;
+            if (!recentlyProbed(vpn)) {
+                scanSeq = head + i;
                 return false;
+            }
+            prev = vpn;
         }
     }
-    // Every page filtered: the verdict holds until the FTQ changes
-    // (only probing mutates the filter, and there is nothing left to
-    // probe).
-    idleValid = true;
-    idleVersion = ftq.version();
+    scanSeq = head + ftq.size();
     return true;
 }
 
@@ -64,13 +69,19 @@ TlbPrefetcher::tick(Cycle now)
     if (atFixedPoint())
         return;
     unsigned started = 0;
-    // Entry 0 is the fetch point (its translation is the demand
-    // fetch's own walk); deeper entries are the lookahead.
-    for (std::size_t i = 1; i < ftq.size(); ++i) {
+    // A scan from entry 1 would skip every entry below the cursor:
+    // their pages are all filtered. The previous block's page is
+    // filtered too, whether it was found there or probed just now.
+    Addr prev = invalidAddr;
+    for (std::size_t i = std::size_t(scanSeq - ftq.headSeq());
+         i < ftq.size(); ++i) {
         unsigned n_blocks = ftq.numCacheBlocks(i);
         for (unsigned k = 0; k < n_blocks; ++k) {
             Addr vaddr = ftq.cacheBlockAddr(i, k);
             Addr vpn = mmu.pageTable().vpn(vaddr);
+            if (vpn == prev)
+                continue;
+            prev = vpn;
             if (recentlyProbed(vpn))
                 continue;
             markProbed(vpn);

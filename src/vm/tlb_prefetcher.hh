@@ -20,9 +20,16 @@
  * outcome, so a quiescent machine (static FTQ, no fills) reaches a
  * fixed point where tick() provably does nothing — which is exactly
  * what nextEventCycle() reports, keeping event-driven idle-cycle
- * skipping bit-identical. The fixed-point verdict is memoized
- * against Ftq::version() so steady-state cycles cost O(1) instead of
- * a full rescan.
+ * skipping bit-identical.
+ *
+ * The fixed-point check keeps an FTQ-sequence cursor (Ftq::headSeq()
+ * numbering, as FDP's scan cursor): every queued entry past the fetch
+ * point and below the cursor has all its pages in the filter. FTQ
+ * entries never change while queued and the filter only grows until
+ * the ring evicts a page, so pushes, pops and flushes leave the cursor
+ * true; only an eviction, the one event that can re-expose a page,
+ * sends it back to the fetch point. Consecutive blocks on one page
+ * cost one filter lookup.
  */
 
 #ifndef FDIP_VM_TLB_PREFETCHER_HH
@@ -60,8 +67,7 @@ class TlbPrefetcher
      * Quiescence protocol: now + 1 while any FTQ page past the fetch
      * point is not yet in the probe filter (tick() would probe it),
      * kNever otherwise. The filter only changes when tick() probes,
-     * so a kNever verdict is stable across a skipped window (and is
-     * memoized until the FTQ's content version changes).
+     * so a kNever verdict is stable across a skipped window.
      */
     Cycle nextEventCycle(Cycle now) const;
 
@@ -74,7 +80,8 @@ class TlbPrefetcher
 
     bool recentlyProbed(Addr vpn) const;
     void markProbed(Addr vpn);
-    /** Pure scan: is every FTQ page past the fetch point filtered? */
+    /** Is every FTQ page past the fetch point filtered? Moves the
+     *  cursor to the first entry holding a page that is not. */
     bool atFixedPoint() const;
 
     const Ftq &ftq;
@@ -84,10 +91,9 @@ class TlbPrefetcher
     std::size_t recentNext = 0;
     /** O(1) membership mirror of the ring. */
     std::unordered_set<Addr> recentSet;
-    /** Memoized "nothing left to probe" verdict, valid while the FTQ
-     *  version is unchanged (probing invalidates it). */
-    mutable bool idleValid = false;
-    mutable std::uint64_t idleVersion = 0;
+    /** Fixed-point cursor: FTQ sequence number of the first entry
+     *  past the fetch point not known to be wholly filtered. */
+    mutable std::uint64_t scanSeq = 0;
 };
 
 } // namespace fdip

@@ -2,7 +2,14 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <optional>
+#include <utility>
+#include <vector>
+
 #include "bpu/partitioned_btb.hh"
+#include "common/logging.hh"
+#include "common/random.hh"
 
 using namespace fdip;
 
@@ -132,4 +139,287 @@ TEST(PartitionedBtbDeath, EmptyConfig)
 {
     PartitionedBtb::Config c;
     EXPECT_DEATH({ PartitionedBtb p(c); }, "no partitions");
+}
+
+namespace
+{
+
+/**
+ * Brute-force model of the partitioned BTB: per partition, each way's
+ * valid bit, tag and payload, and per set a recency list of way
+ * indices (least recent first; untouched ways in way order). The set
+ * index, the 16-bit compressed tag and the offset-class rule are
+ * recomputed here from their definitions.
+ */
+class PbtbReference
+{
+  public:
+    struct Way
+    {
+        bool valid = false;
+        std::uint64_t tag = 0;
+        InstClass cls = InstClass::NonCF;
+        Addr target = 0;
+    };
+
+    struct Part
+    {
+        unsigned offsetBits;
+        unsigned sets;
+        unsigned ways;
+        std::vector<std::vector<Way>> way;
+        std::vector<std::vector<unsigned>> order;
+    };
+
+    explicit PbtbReference(const PartitionedBtb::Config &cfg)
+        : tagBits(cfg.tagBits)
+    {
+        // Partitions in ascending offset width, full width last.
+        auto specs = cfg.partitions;
+        std::stable_sort(specs.begin(), specs.end(),
+                         [](const auto &a, const auto &b) {
+                             unsigned wa = a.offsetBits ? a.offsetBits : 99;
+                             unsigned wb = b.offsetBits ? b.offsetBits : 99;
+                             return wa < wb;
+                         });
+        for (const auto &s : specs) {
+            Part p{s.offsetBits, s.sets, s.ways, {}, {}};
+            p.way.assign(s.sets, std::vector<Way>(s.ways));
+            p.order.resize(s.sets);
+            for (auto &list : p.order) {
+                for (unsigned w = 0; w < s.ways; ++w)
+                    list.push_back(w);
+            }
+            parts.push_back(p);
+        }
+    }
+
+    static unsigned
+    log2(unsigned n)
+    {
+        unsigned b = 0;
+        while ((1u << b) < n)
+            ++b;
+        return b;
+    }
+
+    std::size_t
+    setOf(const Part &p, Addr pc) const
+    {
+        return std::size_t((pc / instBytes) % p.sets);
+    }
+
+    /** Low 8 tag bits verbatim, the rest XORed byte-wise into 8. */
+    std::uint64_t
+    tagOf(const Part &p, Addr pc) const
+    {
+        std::uint64_t full = (pc / instBytes) >> log2(p.sets);
+        std::uint64_t low = full & 0xff;
+        unsigned high_bits = tagBits - 8;
+        std::uint64_t high = 0;
+        for (std::uint64_t rest = full >> 8; rest != 0;
+             rest >>= high_bits)
+            high ^= rest & ((std::uint64_t(1) << high_bits) - 1);
+        return (high << 8) | low;
+    }
+
+    int
+    findWay(const Part &p, Addr pc) const
+    {
+        const auto &set = p.way[setOf(p, pc)];
+        std::uint64_t tag = tagOf(p, pc);
+        for (unsigned w = 0; w < p.ways; ++w) {
+            if (set[w].valid && set[w].tag == tag)
+                return int(w);
+        }
+        return -1;
+    }
+
+    void
+    touch(Part &p, std::size_t set, unsigned w)
+    {
+        auto &list = p.order[set];
+        list.erase(std::find(list.begin(), list.end(), w));
+        list.push_back(w);
+    }
+
+    bool
+    fits(const Part &p, Addr pc, InstClass cls, Addr target) const
+    {
+        if (p.offsetBits == 0 || cls == InstClass::Return)
+            return true;
+        if (!isDirect(cls))
+            return false;
+        std::int64_t delta = (std::int64_t(target) - std::int64_t(pc)) /
+            std::int64_t(instBytes);
+        std::uint64_t mag = delta < 0 ? std::uint64_t(-delta)
+                                      : std::uint64_t(delta);
+        unsigned bits = 1;
+        while (mag >> bits)
+            ++bits;
+        return bits <= p.offsetBits;
+    }
+
+    /** The hit and the index of the partition that supplied it. */
+    std::optional<std::pair<BtbHit, unsigned>>
+    lookup(Addr pc)
+    {
+        ++lookups;
+        for (unsigned i = 0; i < parts.size(); ++i) {
+            Part &p = parts[i];
+            int w = findWay(p, pc);
+            if (w < 0)
+                continue;
+            touch(p, setOf(p, pc), unsigned(w));
+            ++hits;
+            const Way &e = p.way[setOf(p, pc)][unsigned(w)];
+            return std::make_pair(BtbHit{e.cls, e.target}, i);
+        }
+        ++misses;
+        return std::nullopt;
+    }
+
+    void
+    invalidateIn(Part &p, Addr pc)
+    {
+        int w = findWay(p, pc);
+        if (w >= 0)
+            p.way[setOf(p, pc)][unsigned(w)].valid = false;
+    }
+
+    void
+    insert(Addr pc, InstClass cls, Addr target)
+    {
+        int pi = -1;
+        for (unsigned i = 0; i < parts.size() && pi < 0; ++i) {
+            if (fits(parts[i], pc, cls, target))
+                pi = int(i);
+        }
+        if (pi < 0) {
+            ++rejected;
+            return;
+        }
+        for (unsigned i = 0; i < parts.size(); ++i) {
+            if (int(i) != pi)
+                invalidateIn(parts[i], pc);
+        }
+        Part &p = parts[unsigned(pi)];
+        std::size_t set = setOf(p, pc);
+        int w = findWay(p, pc);
+        if (w < 0) {
+            for (unsigned v = 0; v < p.ways && w < 0; ++v) {
+                if (!p.way[set][v].valid)
+                    w = int(v);
+            }
+            if (w < 0)
+                w = int(p.order[set].front());
+        }
+        Way &e = p.way[set][unsigned(w)];
+        e = Way{true, tagOf(p, pc), cls, target};
+        touch(p, set, unsigned(w));
+        ++insertsBy[unsigned(pi)];
+    }
+
+    void
+    invalidate(Addr pc)
+    {
+        for (Part &p : parts)
+            invalidateIn(p, pc);
+    }
+
+    unsigned
+    validIn(unsigned i) const
+    {
+        unsigned n = 0;
+        for (const auto &set : parts[i].way) {
+            for (const Way &e : set)
+                n += e.valid ? 1 : 0;
+        }
+        return n;
+    }
+
+    unsigned tagBits;
+    std::vector<Part> parts;
+    std::uint64_t lookups = 0, hits = 0, misses = 0, rejected = 0;
+    std::uint64_t insertsBy[4] = {0, 0, 0, 0};
+};
+
+} // namespace
+
+TEST(PartitionedBtb, MatchesBruteForceFourPartitionModel)
+{
+    // The 2048-entry default organization: 512x6 (8-bit offsets),
+    // 128x4 (13), 128x4 (23) and 128x6 (full width), 16-bit tags.
+    PartitionedBtb::Config cfg = PartitionedBtb::makeDefaultConfig(2048);
+    PartitionedBtb pbtb(cfg);
+    PbtbReference ref(cfg);
+    ASSERT_EQ(pbtb.numPartitions(), 4u);
+    ASSERT_EQ(ref.parts.size(), 4u);
+
+    // PCs crowd 8 sets of every partition (bits 2..4) with 32 full
+    // tags each (bits 11..15), so sets overflow. Each PC also has
+    // aliases that differ from it only above the set index, in two
+    // bits that cancel in the XOR fold: the same 16-bit tag in the
+    // 512-set partition (mask at bit 19) and in the 128-set ones
+    // (bit 17).
+    const Addr kAlias512 = Addr(0x0101) << (2 + 9 + 8);
+    const Addr kAlias128 = Addr(0x0101) << (2 + 7 + 8);
+    Rng rng(0xb7b2048);
+    std::vector<Addr> pcs;
+    for (unsigned i = 0; i < 96; ++i) {
+        Addr pc = 0x400000 + rng.below(8) * instBytes +
+            (Addr(rng.below(32)) << 11);
+        pcs.push_back(pc);
+        pcs.push_back(pc ^ kAlias512);
+        pcs.push_back(pc ^ kAlias128);
+    }
+    const InstClass classes[] = {InstClass::CondBr, InstClass::Jump,
+                                 InstClass::Call,   InstClass::Return,
+                                 InstClass::IndJump, InstClass::IndCall};
+    // Offsets (in instructions) that need 1-8, 9-13, 14-23 and more
+    // than 23 bits, both signs.
+    const std::int64_t spans[] = {100, 4000, 3000000, std::int64_t(1) << 30};
+
+    for (int step = 0; step < 40000; ++step) {
+        Addr pc = pcs[rng.below(pcs.size())];
+        std::uint64_t op = rng.below(10);
+        if (op < 5) {
+            auto got = pbtb.lookup(pc);
+            auto want = ref.lookup(pc);
+            ASSERT_EQ(got.has_value(), want.has_value()) << "step " << step;
+            if (got) {
+                ASSERT_EQ(got->cls, want->first.cls) << "step " << step;
+                ASSERT_EQ(got->target, want->first.target)
+                    << "step " << step << ", hit in partition "
+                    << want->second;
+            }
+        } else if (op < 9) {
+            InstClass cls = classes[rng.below(6)];
+            std::int64_t span = spans[rng.below(4)];
+            std::int64_t delta = std::int64_t(rng.below(std::uint64_t(span))) -
+                span / 2;
+            Addr target = Addr(std::int64_t(pc) + delta * instBytes);
+            pbtb.insert(pc, cls, target);
+            ref.insert(pc, cls, target);
+        } else {
+            pbtb.invalidate(pc);
+            ref.invalidate(pc);
+        }
+        for (unsigned i = 0; i < 4; ++i) {
+            ASSERT_EQ(pbtb.partition(i).validEntries(), ref.validIn(i))
+                << "step " << step << ", partition " << i;
+            ASSERT_EQ(pbtb.stats.counter(strprintf("pbtb.insert_p%u", i)),
+                      ref.insertsBy[i])
+                << "step " << step;
+        }
+        ASSERT_EQ(pbtb.stats.counter("pbtb.lookups"), ref.lookups);
+        ASSERT_EQ(pbtb.stats.counter("pbtb.hits"), ref.hits);
+        ASSERT_EQ(pbtb.stats.counter("pbtb.misses"), ref.misses);
+        ASSERT_EQ(pbtb.stats.counter("pbtb.insert_rejected"), ref.rejected);
+    }
+    // The script reached every partition and every outcome.
+    for (unsigned i = 0; i < 4; ++i)
+        EXPECT_GT(ref.insertsBy[i], 0u) << "partition " << i;
+    EXPECT_GT(ref.hits, 0u);
+    EXPECT_GT(ref.misses, 0u);
 }

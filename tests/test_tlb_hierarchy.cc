@@ -6,11 +6,16 @@
  *  - demand walks queueing ahead of (and upgrading) prefetch walks at
  *    walker saturation, with exact demand completion times,
  *  - walk-id freshness for the prefetchers' live-polling contract,
- *  - translation lookahead warming the TLBs from the FTQ.
+ *  - translation lookahead warming the TLBs from the FTQ, and its
+ *    fixed-point cursor against a full rescan.
  */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <vector>
+
+#include "common/random.hh"
 #include "frontend/ftq.hh"
 #include "sim/presets.hh"
 #include "sim/runner.hh"
@@ -350,6 +355,166 @@ TEST(TlbPrefetcher, L2ResidentPagesRefillInsteadOfWalking)
     EXPECT_EQ(pf.stats.counter("tlbpf.requests"), 1u);
     mmu.tick(13); // 5 + 8-cycle L2 refill
     EXPECT_TRUE(mmu.tlbHolds(page(1)));
+}
+
+namespace
+{
+
+/**
+ * The TLB prefetcher as it reads without its cursor: the fixed-point
+ * check and every tick rescan the FTQ from entry 1, one filter lookup
+ * per cache block, over a ring filter searched linearly.
+ */
+class RescanTlbPrefetcher
+{
+  public:
+    RescanTlbPrefetcher(const Ftq &ftq, Mmu &mmu, unsigned width,
+                        unsigned filter_entries)
+        : ftq(ftq), mmu(mmu), width(width),
+          ring(filter_entries, invalidAddr)
+    {}
+
+    bool
+    filtered(Addr vpn) const
+    {
+        return std::find(ring.begin(), ring.end(), vpn) != ring.end();
+    }
+
+    bool
+    atFixedPoint() const
+    {
+        for (std::size_t i = 1; i < ftq.size(); ++i) {
+            for (unsigned k = 0; k < ftq.numCacheBlocks(i); ++k) {
+                if (!filtered(mmu.pageTable().vpn(ftq.cacheBlockAddr(i, k))))
+                    return false;
+            }
+        }
+        return true;
+    }
+
+    void
+    tick(Cycle now)
+    {
+        if (atFixedPoint())
+            return;
+        unsigned started = 0;
+        for (std::size_t i = 1; i < ftq.size(); ++i) {
+            for (unsigned k = 0; k < ftq.numCacheBlocks(i); ++k) {
+                Addr vaddr = ftq.cacheBlockAddr(i, k);
+                Addr vpn = mmu.pageTable().vpn(vaddr);
+                if (filtered(vpn))
+                    continue;
+                ring[next] = vpn;
+                next = (next + 1) % ring.size();
+                ++probes;
+                if (mmu.tlbPrefetchTranslate(vaddr, now).status ==
+                    PfTranslation::Status::Ready) {
+                    ++hot;
+                    continue;
+                }
+                ++requests;
+                if (++started >= width)
+                    return;
+            }
+        }
+    }
+
+    const Ftq &ftq;
+    Mmu &mmu;
+    unsigned width;
+    std::vector<Addr> ring;
+    std::size_t next = 0;
+    std::uint64_t probes = 0, hot = 0, requests = 0;
+};
+
+} // namespace
+
+TEST(TlbPrefetcher, CursorVerdictMatchesFullRescan)
+{
+    // Random FTQ push/pop/flush scripts with ticks on some cycles. Two
+    // identical MMUs and FTQs, one driven by the prefetcher and one by
+    // the rescanning reference: every cycle the quiescence verdict,
+    // the probe counters, the MMU's statistics and the pages the ITLB
+    // holds agree. Blocks that straddle pages exercise the same-page
+    // skip. Once the filter ring is full every probe evicts, which
+    // resets the cursor; so each shape runs short episodes from an
+    // empty filter, whose fill phase lets the cursor outlive pops
+    // while its entry still holds an unprobed page (width 1).
+    struct Shape
+    {
+        unsigned width;
+        unsigned filterEntries;
+    };
+    const unsigned kPages = 96;
+    std::uint64_t probes = 0, hot = 0, requests = 0;
+    Rng rng(0x71b9f);
+    for (Shape shape : {Shape{1, 1}, Shape{2, 4}, Shape{1, 16},
+                        Shape{2, 16}, Shape{1, 64}, Shape{3, 64}}) {
+        for (int episode = 0; episode < 12; ++episode) {
+            SCOPED_TRACE(testing::Message()
+                         << "width " << shape.width << ", filter "
+                         << shape.filterEntries << ", episode "
+                         << episode);
+            VmConfig vm = hierVm(TlbPrefetchPolicy::Drop, 16, 1);
+            Mmu mmu(vm, kBase, kBase + kPages * kPage);
+            Mmu ref_mmu(vm, kBase, kBase + kPages * kPage);
+            Ftq ftq(8, 32);
+            Ftq ref_ftq(8, 32);
+            TlbPrefetcher pf(ftq, mmu, {shape.width, shape.filterEntries});
+            RescanTlbPrefetcher ref(ref_ftq, ref_mmu, shape.width,
+                                    shape.filterEntries);
+            for (Cycle now = 1; now <= 500; ++now) {
+                std::uint64_t op = rng.below(16);
+                if (op < 7 && !ftq.full()) {
+                    FetchBlock b;
+                    // A block near a page's end crosses into the next.
+                    Addr offset = rng.below(2) == 0
+                        ? kPage - 8 * instBytes
+                        : rng.below(kPage / instBytes) * instBytes;
+                    b.startPc =
+                        page(unsigned(rng.below(kPages - 1))) + offset;
+                    b.numInsts = unsigned(rng.range(1, 24));
+                    b.validLen = b.numInsts;
+                    ftq.push(b);
+                    ref_ftq.push(b);
+                } else if (op < 12 && !ftq.empty()) {
+                    ftq.popHead();
+                    ref_ftq.popHead();
+                } else if (op == 12) {
+                    ftq.flush();
+                    ref_ftq.flush();
+                }
+                Cycle want = ref.atFixedPoint() ? kNever : now + 1;
+                ASSERT_EQ(pf.nextEventCycle(now), want) << "cycle " << now;
+                if (rng.below(3) != 0) {
+                    pf.tick(now);
+                    ref.tick(now);
+                }
+                mmu.tick(now);
+                ref_mmu.tick(now);
+                ASSERT_EQ(pf.stats.counter("tlbpf.probes"), ref.probes)
+                    << "cycle " << now;
+                ASSERT_EQ(pf.stats.counter("tlbpf.tlb_hot"), ref.hot)
+                    << "cycle " << now;
+                ASSERT_EQ(pf.stats.counter("tlbpf.requests"), ref.requests)
+                    << "cycle " << now;
+                ASSERT_EQ(mmu.stats.dump(), ref_mmu.stats.dump())
+                    << "cycle " << now;
+                for (unsigned p = 0; p < kPages; ++p) {
+                    ASSERT_EQ(mmu.tlbHolds(page(p)),
+                              ref_mmu.tlbHolds(page(p)))
+                        << "cycle " << now << ", page " << p;
+                }
+            }
+            probes += ref.probes;
+            hot += ref.hot;
+            requests += ref.requests;
+        }
+    }
+    // Every outcome of a probe came up.
+    EXPECT_GT(probes, 0u);
+    EXPECT_GT(hot, 0u);
+    EXPECT_GT(requests, 0u);
 }
 
 TEST(TlbHierarchy, SimulatorRunsTranslatedWithHierarchyAndPrefetch)
