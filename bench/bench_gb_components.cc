@@ -6,6 +6,8 @@
 
 #include <benchmark/benchmark.h>
 
+#include <bit>
+
 #include "bpu/btb.hh"
 #include "bpu/hybrid.hh"
 #include "bpu/partitioned_btb.hh"
@@ -56,17 +58,15 @@ BM_BtbLookup(benchmark::State &state)
 }
 BENCHMARK(BM_BtbLookup);
 
+/**
+ * Warm the FDIP-X BTB (2048-entry budget, four offset-width partitions,
+ * 16-bit tags) with a branch every fifth instruction of @p span bytes
+ * from @p base: mostly short offsets, some 13- and 23-bit ones and a
+ * few indirects.
+ */
 static void
-BM_PartitionedBtbLookup(benchmark::State &state)
+warmFdipXBtb(PartitionedBtb &pbtb, Addr base, Addr span)
 {
-    // The FDIP-X BTB (2048-entry budget, four offset-width partitions,
-    // 16-bit tags) warmed with a branch every fifth instruction of a
-    // 64 KB region: mostly short offsets, some 13- and 23-bit ones and
-    // a few indirects. Each iteration probes one 8-PC block, as the
-    // BPU does; the walk visits hits and misses in every partition.
-    PartitionedBtb pbtb(PartitionedBtb::makeDefaultConfig(2048));
-    const Addr base = 0x400000;
-    const Addr span = 64 * 1024;
     unsigned n = 0;
     for (Addr pc = base; pc < base + span; pc += 5 * instBytes, ++n) {
         switch (n % 16) {
@@ -78,6 +78,17 @@ BM_PartitionedBtbLookup(benchmark::State &state)
           default: pbtb.insert(pc, InstClass::CondBr, pc + 40 * instBytes);
         }
     }
+}
+
+static void
+BM_PartitionedBtbLookup(benchmark::State &state)
+{
+    // Each iteration probes all PCs of one 8-PC block of the warm
+    // FDIP-X BTB; the walk visits hits and misses in every partition.
+    PartitionedBtb pbtb(PartitionedBtb::makeDefaultConfig(2048));
+    const Addr base = 0x400000;
+    const Addr span = 64 * 1024;
+    warmFdipXBtb(pbtb, base, span);
     Addr start = base;
     for (auto _ : state) {
         for (unsigned i = 0; i < 8; ++i)
@@ -87,6 +98,36 @@ BM_PartitionedBtbLookup(benchmark::State &state)
     state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_PartitionedBtbLookup);
+
+static void
+BM_BpuBlockBtb(benchmark::State &state)
+{
+    // The BPU's per-instruction front-end on one 8-PC block of the same
+    // warm FDIP-X BTB as BM_PartitionedBtbLookup: probe only the PCs
+    // the presence mask leaves set, in PC order, end the block at the
+    // first hit, and count the proven misses in bulk.
+    PartitionedBtb pbtb(PartitionedBtb::makeDefaultConfig(2048));
+    const Addr base = 0x400000;
+    const Addr span = 64 * 1024;
+    warmFdipXBtb(pbtb, base, span);
+    Addr start = base;
+    for (auto _ : state) {
+        std::uint32_t may_hit = pbtb.mayHitMask(start, 8);
+        unsigned scanned = 8;
+        for (std::uint32_t left = may_hit; left != 0; left &= left - 1) {
+            unsigned i = unsigned(std::countr_zero(left));
+            if (pbtb.lookup(start + i * instBytes)) {
+                scanned = i + 1;
+                break;
+            }
+        }
+        std::uint32_t probed = may_hit & ((1u << scanned) - 1);
+        pbtb.countMisses(scanned - unsigned(std::popcount(probed)));
+        start = base + ((start - base + 8 * instBytes) & (span - 1));
+    }
+    state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_BpuBlockBtb);
 
 static void
 BM_HybridPredict(benchmark::State &state)

@@ -1,5 +1,7 @@
 #include "bpu/bpu.hh"
 
+#include <bit>
+
 #include "common/logging.hh"
 #include "bpu/hybrid.hh"
 #include "bpu/local2level.hh"
@@ -41,6 +43,10 @@ Bpu::Bpu(TraceWindow &trace_window, const BpuConfig &config,
             cfg.chooserEntries);
         break;
     }
+    fatal_if(!cfg.blockBased && cfg.maxBlockInsts > BtbPresence::kMaxBlock,
+             "BTB fetch block of %u instructions is wider than the %u a "
+             "block probe covers", cfg.maxBlockInsts,
+             BtbPresence::kMaxBlock);
     if (cfg.blockBased) {
         panic_if(custom_btb != nullptr,
                  "custom BTB is only meaningful without an FTB");
@@ -109,8 +115,13 @@ Bpu::formBlockBtb()
     blk.startPc = specPc;
 
     // All fetch-width PCs probe the BTB in parallel; the block ends at
-    // the first control-flow instruction predicted taken.
-    for (unsigned i = 0; i < cfg.maxBlockInsts; ++i) {
+    // the first control-flow instruction predicted taken. Only PCs the
+    // presence counts cannot rule out are probed, in PC order; the
+    // proven misses among the PCs scanned are counted in bulk.
+    std::uint32_t may_hit = btb_->mayHitMask(blk.startPc, cfg.maxBlockInsts);
+    unsigned scanned = cfg.maxBlockInsts;
+    for (std::uint32_t left = may_hit; left != 0; left &= left - 1) {
+        unsigned i = unsigned(std::countr_zero(left));
         Addr pc_i = blk.startPc + Addr(i) * instBytes;
         auto hit = btb_->lookup(pc_i);
         if (!hit)
@@ -120,6 +131,7 @@ Bpu::formBlockBtb()
             specHist = shiftHistory(specHist, taken);
             if (!taken)
                 continue; // predicted not-taken: keep scanning
+            scanned = i + 1;
             blk.numInsts = i + 1;
             blk.endsInCF = true;
             blk.termCls = hit->cls;
@@ -135,6 +147,7 @@ Bpu::formBlockBtb()
         }
         if (isCall(hit->cls))
             specRas.push(pc_i + instBytes);
+        scanned = i + 1;
         blk.numInsts = i + 1;
         blk.endsInCF = true;
         blk.termCls = hit->cls;
@@ -142,6 +155,10 @@ Bpu::formBlockBtb()
         blk.predTarget = target;
         break;
     }
+    std::uint64_t scanned_mask = (std::uint64_t(1) << scanned) - 1;
+    unsigned probed = unsigned(std::popcount(may_hit & scanned_mask));
+    if (probed < scanned)
+        btb_->countMisses(scanned - probed);
 
     if (!blk.endsInCF) {
         blk.numInsts = cfg.maxBlockInsts;

@@ -21,6 +21,8 @@ PartitionedBtb::PartitionedBtb(const Config &config)
                   unsigned wb = b.offsetBits == 0 ? ~0u : b.offsetBits;
                   return wa < wb;
               });
+    std::vector<Btb::Config> btb_cfgs;
+    unsigned bits = BtbPresence::kMaxBits;
     for (const auto &spec : specs) {
         Btb::Config bc;
         bc.sets = spec.sets;
@@ -28,8 +30,15 @@ PartitionedBtb::PartitionedBtb(const Config &config)
         bc.tagBits = cfg.tagBits;
         bc.offsetBits = spec.offsetBits;
         bc.vaBits = cfg.vaBits;
-        parts.push_back(std::make_unique<Btb>(bc));
+        btb_cfgs.push_back(bc);
+        bits = std::min(bits, Btb::presenceBits(bc));
     }
+    std::uint64_t bucket_max = 0;
+    for (const auto &bc : btb_cfgs)
+        bucket_max += Btb::maxPerBucket(bc, bits);
+    presence = BtbPresence(bits, bucket_max);
+    for (const auto &bc : btb_cfgs)
+        parts.push_back(std::make_unique<Btb>(bc, &presence));
     for (std::size_t i = 0; i < parts.size(); ++i) {
         stInsertByPartition.push_back(stats.registerCounter(
             strprintf("pbtb.insert_p%d", static_cast<int>(i))));
@@ -83,6 +92,16 @@ PartitionedBtb::lookup(Addr pc)
     }
     stMisses.inc();
     return std::nullopt;
+}
+
+void
+PartitionedBtb::countMisses(std::uint64_t k)
+{
+    // A proven miss probes, and misses, every partition.
+    stLookups.inc(k);
+    stMisses.inc(k);
+    for (auto &p : parts)
+        p->countMisses(k);
 }
 
 void

@@ -37,6 +37,10 @@ class PartitionedBtb : public BtbIface
 
     explicit PartitionedBtb(const Config &config);
 
+    /** The partitions point at this object's presence counts. */
+    PartitionedBtb(const PartitionedBtb &) = delete;
+    PartitionedBtb &operator=(const PartitionedBtb &) = delete;
+
     /**
      * The 4-partition organization (8-, 13-, 23-bit and full-width
      * target fields), sized to fit within the storage of a
@@ -52,6 +56,14 @@ class PartitionedBtb : public BtbIface
                                     unsigned tag_bits = 16);
 
     std::optional<BtbHit> lookup(Addr pc) override;
+
+    std::uint32_t
+    mayHitMask(Addr start_pc, unsigned n) const override
+    {
+        return presence.mayHitMask(start_pc, n);
+    }
+
+    void countMisses(std::uint64_t k) override;
     void insert(Addr pc, InstClass cls, Addr target) override;
     void invalidate(Addr pc) override;
     std::uint64_t storageBits() const override;
@@ -64,6 +76,9 @@ class PartitionedBtb : public BtbIface
 
     const Btb &partition(unsigned i) const { return *parts.at(i); }
     unsigned numEntries() const;
+
+    /** Presence counts over all partitions (for tests). */
+    const BtbPresence &presenceCounts() const { return presence; }
 
   private:
     StatSet::Counter stLookups = stats.registerCounter("pbtb.lookups");
@@ -78,6 +93,9 @@ class PartitionedBtb : public BtbIface
     int partitionFor(Addr pc, InstClass cls, Addr target) const;
 
     Config cfg;
+    /** One bucket key for all partitions: the narrowest that keeps
+     *  every partition's test sound. */
+    BtbPresence presence;
     std::vector<std::unique_ptr<Btb>> parts;
 };
 

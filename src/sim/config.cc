@@ -250,6 +250,10 @@ SimConfig::validate() const
              "coreWorkloads must name exactly numCores workloads");
     fatal_if(ftqEntries == 0, "FTQ needs at least one entry");
     fatal_if(bpu.maxBlockInsts == 0, "fetch block size must be nonzero");
+    fatal_if(!bpu.blockBased && bpu.maxBlockInsts > BtbPresence::kMaxBlock,
+             "fetch block size %u exceeds the maximum of %u instructions "
+             "of the BTB front-end", bpu.maxBlockInsts,
+             BtbPresence::kMaxBlock);
     fatal_if(cycleLimitPerInst <= 1.0, "cycle limit too low to finish");
     fatal_if(usePartitionedBtb && bpu.blockBased,
              "partitioned BTB requires the conventional (non-FTB) "

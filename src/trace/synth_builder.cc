@@ -17,6 +17,8 @@ struct Layering
 {
     // levelStart[l] .. levelStart[l+1]-1 are the functions at level l.
     std::vector<std::uint32_t> levelStart;
+    /** Callee popularity within each level, built once per program. */
+    std::vector<ZipfSampler> popularity;
 
     std::uint32_t
     levelOf(std::uint32_t fn) const
@@ -42,7 +44,7 @@ struct Layering
  */
 std::uint32_t
 pickCallee(Rng &rng, const Layering &lay, std::uint32_t caller_level,
-           double zipf_s, unsigned num_levels)
+           unsigned num_levels)
 {
     std::uint32_t level;
     if (caller_level + 2 >= num_levels || rng.chance(0.7))
@@ -51,11 +53,8 @@ pickCallee(Rng &rng, const Layering &lay, std::uint32_t caller_level,
         level = static_cast<std::uint32_t>(
             rng.range(caller_level + 1, num_levels - 1));
 
-    std::uint32_t n = lay.count(level);
-    panic_if(n == 0, "empty call-graph level %u", level);
-    ZipfSampler zipf(n, zipf_s);
     return lay.levelStart[level] + static_cast<std::uint32_t>(
-        zipf.sample(rng));
+        lay.popularity[level].sample(rng));
 }
 
 CondBehavior
@@ -149,16 +148,14 @@ buildFunction(Rng &rng, const WorkloadProfile &p, const Layering &lay,
           }
           case 2: // direct call
             bb.term = InstClass::Call;
-            bb.targetFn = pickCallee(rng, lay, level, p.calleeZipf,
-                                     p.callLevels);
+            bb.targetFn = pickCallee(rng, lay, level, p.callLevels);
             break;
           case 3: { // indirect call (virtual dispatch / fn pointer)
             bb.term = InstClass::IndCall;
             unsigned n_targets = static_cast<unsigned>(rng.range(2, 6));
             for (unsigned t = 0; t < n_targets; ++t) {
                 bb.indTargets.push_back(
-                    pickCallee(rng, lay, level, p.calleeZipf,
-                               p.callLevels));
+                    pickCallee(rng, lay, level, p.callLevels));
                 bb.indWeights.push_back(1.0 / (t + 1.0));
             }
             break;
@@ -190,13 +187,12 @@ buildDispatcher(Rng &rng, const WorkloadProfile &p, const Layering &lay)
             unsigned n_targets = static_cast<unsigned>(rng.range(3, 8));
             for (unsigned t = 0; t < n_targets; ++t) {
                 bb.indTargets.push_back(
-                    pickCallee(rng, lay, 0, p.calleeZipf, p.callLevels));
+                    pickCallee(rng, lay, 0, p.callLevels));
                 bb.indWeights.push_back(1.0 / (t + 1.0));
             }
         } else {
             bb.term = InstClass::Call;
-            bb.targetFn = pickCallee(rng, lay, 0, p.calleeZipf,
-                                     p.callLevels);
+            bb.targetFn = pickCallee(rng, lay, 0, p.callLevels);
         }
         fn.blocks.push_back(bb);
     }
@@ -237,6 +233,11 @@ buildProgram(const WorkloadProfile &p)
         std::uint32_t share = rest / deeper_levels +
             (l < rest % deeper_levels ? 1 : 0);
         lay.levelStart.push_back(lay.levelStart.back() + share);
+    }
+    // Building a sampler draws no random numbers.
+    for (std::uint32_t l = 0; l < p.callLevels; ++l) {
+        panic_if(lay.count(l) == 0, "empty call-graph level %u", l);
+        lay.popularity.emplace_back(lay.count(l), p.calleeZipf);
     }
 
     prog->funcs.resize(num_fns);

@@ -288,3 +288,20 @@ TEST(BpuDeath, CustomBtbWithFtbMode)
     EXPECT_DEATH({ Bpu bpu(win, cfg, std::move(pbtb)); },
                  "only meaningful");
 }
+
+TEST(BpuDeath, BtbBlockWiderThanTheProbeMask)
+{
+    // The BTB front-end's block probe answers for at most 32 PCs.
+    auto prog = testutil::makeTightLoop();
+    WorkloadProfile prof;
+    prof.name = "x";
+    SyntheticExecutor exec(*prog, prof);
+    TraceWindow win(exec);
+    BpuConfig cfg;
+    cfg.blockBased = false;
+    cfg.maxBlockInsts = 33;
+    EXPECT_DEATH({ Bpu bpu(win, cfg); }, "wider than the 32");
+    cfg.maxBlockInsts = 32;
+    Bpu ok(win, cfg);
+    EXPECT_EQ(ok.predictBlock().numInsts, 32u);
+}

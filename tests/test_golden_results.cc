@@ -82,6 +82,28 @@ renderGrid()
             " ====\n";
         out += serializeResults(simulate(cfg));
     }
+
+    // The two per-instruction BTB front-ends (appended, like the zoo):
+    // the FDIP-X partitioned BTB with 16-bit tags, and a unified BTB
+    // with full tags.
+    struct BtbPoint
+    {
+        const char *label;
+        void (*apply)(SimConfig &, unsigned);
+        unsigned entries;
+    };
+    for (const BtbPoint &pt :
+         {BtbPoint{"pbtb-1024", applyPartitionedBudget, 1024},
+          BtbPoint{"btb-4096", applyUnifiedBtbBudget, 4096}}) {
+        SimConfig cfg =
+            makeBaselineConfig("gcc", PrefetchScheme::FdpRemove);
+        cfg.warmupInsts = 10 * 1000;
+        cfg.measureInsts = 40 * 1000;
+        pt.apply(cfg, pt.entries);
+        out += "==== gcc / fdp-remove / " + std::string(pt.label) +
+            " ====\n";
+        out += serializeResults(simulate(cfg));
+    }
     return out;
 }
 

@@ -3,6 +3,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
+#include <functional>
+#include <map>
 #include <optional>
 #include <utility>
 #include <vector>
@@ -146,10 +149,11 @@ namespace
 
 /**
  * Brute-force model of the partitioned BTB: per partition, each way's
- * valid bit, tag and payload, and per set a recency list of way
- * indices (least recent first; untouched ways in way order). The set
- * index, the 16-bit compressed tag and the offset-class rule are
- * recomputed here from their definitions.
+ * valid bit, tag, payload and the PC that filled it, and per set a
+ * recency list of way indices (least recent first; untouched ways in
+ * way order). The set index, the compressed (or full) tag and the
+ * offset-class rule are recomputed here from their definitions. A
+ * single full-width partition models the unified BTB.
  */
 class PbtbReference
 {
@@ -160,6 +164,7 @@ class PbtbReference
         std::uint64_t tag = 0;
         InstClass cls = InstClass::NonCF;
         Addr target = 0;
+        Addr pc = 0;
     };
 
     struct Part
@@ -169,6 +174,7 @@ class PbtbReference
         unsigned ways;
         std::vector<std::vector<Way>> way;
         std::vector<std::vector<unsigned>> order;
+        std::uint64_t lookups = 0, hits = 0, misses = 0;
     };
 
     explicit PbtbReference(const PartitionedBtb::Config &cfg)
@@ -209,11 +215,14 @@ class PbtbReference
         return std::size_t((pc / instBytes) % p.sets);
     }
 
-    /** Low 8 tag bits verbatim, the rest XORed byte-wise into 8. */
+    /** Low 8 tag bits verbatim, the rest XORed byte-wise into 8; a
+     *  zero tag width keeps the full tag. */
     std::uint64_t
     tagOf(const Part &p, Addr pc) const
     {
         std::uint64_t full = (pc / instBytes) >> log2(p.sets);
+        if (tagBits == 0)
+            return full;
         std::uint64_t low = full & 0xff;
         unsigned high_bits = tagBits - 8;
         std::uint64_t high = 0;
@@ -267,10 +276,14 @@ class PbtbReference
         ++lookups;
         for (unsigned i = 0; i < parts.size(); ++i) {
             Part &p = parts[i];
+            ++p.lookups;
             int w = findWay(p, pc);
-            if (w < 0)
+            if (w < 0) {
+                ++p.misses;
                 continue;
+            }
             touch(p, setOf(p, pc), unsigned(w));
+            ++p.hits;
             ++hits;
             const Way &e = p.way[setOf(p, pc)][unsigned(w)];
             return std::make_pair(BtbHit{e.cls, e.target}, i);
@@ -315,7 +328,7 @@ class PbtbReference
                 w = int(p.order[set].front());
         }
         Way &e = p.way[set][unsigned(w)];
-        e = Way{true, tagOf(p, pc), cls, target};
+        e = Way{true, tagOf(p, pc), cls, target, pc};
         touch(p, set, unsigned(w));
         ++insertsBy[unsigned(pi)];
     }
@@ -325,6 +338,35 @@ class PbtbReference
     {
         for (Part &p : parts)
             invalidateIn(p, pc);
+    }
+
+    /** Whether lookup(@p pc) would hit, without touching anything. */
+    bool
+    wouldHit(Addr pc) const
+    {
+        for (const Part &p : parts) {
+            if (findWay(p, pc) >= 0)
+                return true;
+        }
+        return false;
+    }
+
+    /** Valid entries per presence bucket of @p bits bits, recounted
+     *  from the PCs that filled them (absent buckets hold none). */
+    std::map<std::size_t, unsigned>
+    recount(unsigned bits) const
+    {
+        std::map<std::size_t, unsigned> n;
+        std::uint64_t mask = (std::uint64_t(1) << bits) - 1;
+        for (const Part &p : parts) {
+            for (const auto &set : p.way) {
+                for (const Way &e : set) {
+                    if (e.valid)
+                        ++n[std::size_t((e.pc / instBytes) & mask)];
+                }
+            }
+        }
+        return n;
     }
 
     unsigned
@@ -344,6 +386,174 @@ class PbtbReference
     std::uint64_t insertsBy[4] = {0, 0, 0, 0};
 };
 
+/** Presence bucket of @p pc in a @p bits-bit key, from its definition. */
+std::size_t
+bucketOf(Addr pc, unsigned bits)
+{
+    return std::size_t((pc / instBytes) & ((std::uint64_t(1) << bits) - 1));
+}
+
+/**
+ * The block-probe contract, checked against the model: the presence
+ * counts of every bucket a pool PC falls in (the only buckets an entry
+ * can occupy) equal a recount of the model's entries, every other
+ * bucket is empty on a full sweep, and for each block start and width
+ * the mask sets exactly the PCs whose bucket is occupied, a superset
+ * of the PCs that would hit.
+ */
+void
+checkPresence(const BtbPresence &presence, const PbtbReference &ref,
+              const std::vector<Addr> &pcs,
+              const std::vector<Addr> &starts, bool full_sweep, int step)
+{
+    unsigned bits = presence.bits();
+    auto want = ref.recount(bits);
+    auto count_of = [&](std::size_t b) {
+        auto it = want.find(b);
+        return it == want.end() ? 0u : it->second;
+    };
+    for (Addr pc : pcs) {
+        std::size_t b = bucketOf(pc, bits);
+        ASSERT_EQ(presence.count(b), count_of(b))
+            << "step " << step << ", bucket " << b;
+    }
+    if (full_sweep) {
+        for (std::size_t b = 0; b < (std::size_t(1) << bits); ++b) {
+            ASSERT_EQ(presence.count(b), count_of(b))
+                << "step " << step << ", bucket " << b;
+        }
+    }
+    for (Addr start : starts) {
+        for (unsigned n : {5u, 8u, 32u}) {
+            std::uint32_t mask = presence.mayHitMask(start, n);
+            for (unsigned i = 0; i < 32; ++i) {
+                Addr pc = start + Addr(i) * instBytes;
+                bool set = (mask >> i) & 1;
+                bool occupied = i < n && count_of(bucketOf(pc, bits)) > 0;
+                ASSERT_EQ(set, occupied)
+                    << "step " << step << ", start " << std::hex << start
+                    << std::dec << ", n " << n << ", bit " << i;
+                if (i < n && ref.wouldHit(pc)) {
+                    ASSERT_TRUE(set) << "step " << step << ", a hit at "
+                                     << std::hex << pc << " masked out";
+                }
+            }
+        }
+    }
+}
+
+/**
+ * Drive @p btb and the model through one random script over @p pcs:
+ * single lookups, block probes the way the BPU makes them (lookup()
+ * only for PCs the mask leaves set, countMisses() for the rest),
+ * inserts and invalidates. After every step, the outcomes, the
+ * presence contract and @p check_stats must hold.
+ */
+template <typename Buffer>
+void
+runScript(Buffer &btb, PbtbReference &ref, const std::vector<Addr> &pcs,
+          std::uint64_t seed, int steps,
+          const std::function<void(int)> &check_stats)
+{
+    const InstClass classes[] = {InstClass::CondBr, InstClass::Jump,
+                                 InstClass::Call,   InstClass::Return,
+                                 InstClass::IndJump, InstClass::IndCall};
+    // Offsets (in instructions) that need 1-8, 9-13, 14-23 and more
+    // than 23 bits, both signs.
+    const std::int64_t spans[] = {100, 4000, 3000000, std::int64_t(1) << 30};
+    // Blocks across the bucket wrap (bucket 0 is at 0x400000, also a
+    // set-index wrap of every partition) and across a set-index wrap
+    // alone.
+    const std::vector<Addr> wrap_starts = {0x400000 - 3 * instBytes,
+                                           0x402800 - 3 * instBytes};
+
+    Rng rng(seed);
+    auto compare = [&](Addr pc, int step) {
+        auto got = btb.lookup(pc);
+        auto want = ref.lookup(pc);
+        ASSERT_EQ(got.has_value(), want.has_value()) << "step " << step;
+        if (got) {
+            ASSERT_EQ(got->cls, want->first.cls) << "step " << step;
+            ASSERT_EQ(got->target, want->first.target)
+                << "step " << step << ", hit in partition "
+                << want->second;
+        }
+    };
+    for (int step = 0; step < steps; ++step) {
+        Addr pc = pcs[rng.below(pcs.size())];
+        std::uint64_t op = rng.below(12);
+        if (op < 4) {
+            compare(pc, step);
+        } else if (op < 6) {
+            Addr start = pc - rng.below(8) * instBytes;
+            unsigned n = op == 4 ? 8 : 1 + unsigned(rng.below(32));
+            std::uint32_t mask = btb.mayHitMask(start, n);
+            for (unsigned i = 0; i < n; ++i) {
+                Addr pc_i = start + Addr(i) * instBytes;
+                if ((mask >> i) & 1) {
+                    compare(pc_i, step);
+                } else {
+                    ASSERT_FALSE(ref.lookup(pc_i).has_value())
+                        << "step " << step << ", PC " << i
+                        << " masked out but hits";
+                }
+            }
+            btb.countMisses(n - unsigned(std::popcount(mask)));
+        } else if (op < 11) {
+            InstClass cls = classes[rng.below(6)];
+            std::int64_t span = spans[rng.below(4)];
+            std::int64_t delta = std::int64_t(rng.below(std::uint64_t(span))) -
+                span / 2;
+            Addr target = Addr(std::int64_t(pc) + delta * instBytes);
+            btb.insert(pc, cls, target);
+            ref.insert(pc, cls, target);
+        } else {
+            btb.invalidate(pc);
+            ref.invalidate(pc);
+        }
+        if (::testing::Test::HasFatalFailure())
+            return;
+        std::vector<Addr> starts = wrap_starts;
+        starts.push_back(pc - 3 * instBytes);
+        checkPresence(btb.presenceCounts(), ref, pcs, starts,
+                      step % 4000 == 0 || step + 1 == steps, step);
+        if (::testing::Test::HasFatalFailure())
+            return;
+        check_stats(step);
+        if (::testing::Test::HasFatalFailure())
+            return;
+    }
+}
+
+/**
+ * PCs crowding 8 sets of every partition (bits 2..4) with 32 full tags
+ * each (bits 11..15), so sets overflow, plus each PC's aliases that
+ * differ from it only above the set index, in two bits that cancel in
+ * the XOR fold of a 16-bit tag: the same tag in the 512-set partition
+ * (mask at bit 19) and in the 128-set ones (bit 17). Then the PCs of
+ * the blocks that cross the bucket wrap and a set-index wrap.
+ */
+std::vector<Addr>
+crowdedPcs(std::uint64_t seed)
+{
+    const Addr kAlias512 = Addr(0x0101) << (2 + 9 + 8);
+    const Addr kAlias128 = Addr(0x0101) << (2 + 7 + 8);
+    Rng rng(seed);
+    std::vector<Addr> pcs;
+    for (unsigned i = 0; i < 96; ++i) {
+        Addr pc = 0x400000 + rng.below(8) * instBytes +
+            (Addr(rng.below(32)) << 11);
+        pcs.push_back(pc);
+        pcs.push_back(pc ^ kAlias512);
+        pcs.push_back(pc ^ kAlias128);
+    }
+    for (Addr wrap : {Addr(0x400000), Addr(0x402800)}) {
+        for (int k = -4; k < 4; ++k)
+            pcs.push_back(Addr(std::int64_t(wrap) + k * 4));
+    }
+    return pcs;
+}
+
 } // namespace
 
 TEST(PartitionedBtb, MatchesBruteForceFourPartitionModel)
@@ -355,71 +565,76 @@ TEST(PartitionedBtb, MatchesBruteForceFourPartitionModel)
     PbtbReference ref(cfg);
     ASSERT_EQ(pbtb.numPartitions(), 4u);
     ASSERT_EQ(ref.parts.size(), 4u);
+    // min(15, 7 set-index bits + 8 verbatim tag bits).
+    ASSERT_EQ(pbtb.presenceCounts().bits(), 15u);
 
-    // PCs crowd 8 sets of every partition (bits 2..4) with 32 full
-    // tags each (bits 11..15), so sets overflow. Each PC also has
-    // aliases that differ from it only above the set index, in two
-    // bits that cancel in the XOR fold: the same 16-bit tag in the
-    // 512-set partition (mask at bit 19) and in the 128-set ones
-    // (bit 17).
-    const Addr kAlias512 = Addr(0x0101) << (2 + 9 + 8);
-    const Addr kAlias128 = Addr(0x0101) << (2 + 7 + 8);
-    Rng rng(0xb7b2048);
-    std::vector<Addr> pcs;
-    for (unsigned i = 0; i < 96; ++i) {
-        Addr pc = 0x400000 + rng.below(8) * instBytes +
-            (Addr(rng.below(32)) << 11);
-        pcs.push_back(pc);
-        pcs.push_back(pc ^ kAlias512);
-        pcs.push_back(pc ^ kAlias128);
-    }
-    const InstClass classes[] = {InstClass::CondBr, InstClass::Jump,
-                                 InstClass::Call,   InstClass::Return,
-                                 InstClass::IndJump, InstClass::IndCall};
-    // Offsets (in instructions) that need 1-8, 9-13, 14-23 and more
-    // than 23 bits, both signs.
-    const std::int64_t spans[] = {100, 4000, 3000000, std::int64_t(1) << 30};
-
-    for (int step = 0; step < 40000; ++step) {
-        Addr pc = pcs[rng.below(pcs.size())];
-        std::uint64_t op = rng.below(10);
-        if (op < 5) {
-            auto got = pbtb.lookup(pc);
-            auto want = ref.lookup(pc);
-            ASSERT_EQ(got.has_value(), want.has_value()) << "step " << step;
-            if (got) {
-                ASSERT_EQ(got->cls, want->first.cls) << "step " << step;
-                ASSERT_EQ(got->target, want->first.target)
-                    << "step " << step << ", hit in partition "
-                    << want->second;
-            }
-        } else if (op < 9) {
-            InstClass cls = classes[rng.below(6)];
-            std::int64_t span = spans[rng.below(4)];
-            std::int64_t delta = std::int64_t(rng.below(std::uint64_t(span))) -
-                span / 2;
-            Addr target = Addr(std::int64_t(pc) + delta * instBytes);
-            pbtb.insert(pc, cls, target);
-            ref.insert(pc, cls, target);
-        } else {
-            pbtb.invalidate(pc);
-            ref.invalidate(pc);
-        }
+    runScript(pbtb, ref, crowdedPcs(0xb7b2048), 0x5c41b7, 40000, [&](int step) {
         for (unsigned i = 0; i < 4; ++i) {
+            const StatSet &ps = pbtb.partition(i).stats;
+            const auto &rp = ref.parts[i];
             ASSERT_EQ(pbtb.partition(i).validEntries(), ref.validIn(i))
                 << "step " << step << ", partition " << i;
             ASSERT_EQ(pbtb.stats.counter(strprintf("pbtb.insert_p%u", i)),
                       ref.insertsBy[i])
                 << "step " << step;
+            ASSERT_EQ(ps.counter("btb.lookups"), rp.lookups)
+                << "step " << step << ", partition " << i;
+            ASSERT_EQ(ps.counter("btb.hits"), rp.hits)
+                << "step " << step << ", partition " << i;
+            ASSERT_EQ(ps.counter("btb.misses"), rp.misses)
+                << "step " << step << ", partition " << i;
         }
         ASSERT_EQ(pbtb.stats.counter("pbtb.lookups"), ref.lookups);
         ASSERT_EQ(pbtb.stats.counter("pbtb.hits"), ref.hits);
         ASSERT_EQ(pbtb.stats.counter("pbtb.misses"), ref.misses);
-        ASSERT_EQ(pbtb.stats.counter("pbtb.insert_rejected"), ref.rejected);
-    }
+        ASSERT_EQ(pbtb.stats.counter("pbtb.insert_rejected"),
+                  ref.rejected);
+    });
     // The script reached every partition and every outcome.
     for (unsigned i = 0; i < 4; ++i)
         EXPECT_GT(ref.insertsBy[i], 0u) << "partition " << i;
     EXPECT_GT(ref.hits, 0u);
     EXPECT_GT(ref.misses, 0u);
+}
+
+TEST(PartitionedBtb, FullTagUnifiedBtbMatchesBruteForce)
+{
+    // A unified BTB with full tags: 128 sets x 4 ways, full targets.
+    Btb::Config bc;
+    bc.sets = 128;
+    bc.ways = 4;
+    bc.tagBits = 0;
+    bc.offsetBits = 0;
+    Btb btb(bc);
+    PartitionedBtb::Config model;
+    model.tagBits = 0;
+    model.partitions = {{0, 128, 4}};
+    PbtbReference ref(model);
+    // A full tag is exact, so the key is the cap.
+    ASSERT_EQ(btb.presenceCounts().bits(), BtbPresence::kMaxBits);
+
+    runScript(btb, ref, crowdedPcs(0xf011), 0x5c41f0, 20000, [&](int step) {
+        ASSERT_EQ(btb.validEntries(), ref.validIn(0)) << "step " << step;
+        ASSERT_EQ(btb.stats.counter("btb.lookups"), ref.lookups);
+        ASSERT_EQ(btb.stats.counter("btb.hits"), ref.hits);
+        ASSERT_EQ(btb.stats.counter("btb.misses"), ref.misses);
+        ASSERT_EQ(btb.stats.counter("btb.inserts") +
+                      btb.stats.counter("btb.updates"),
+                  ref.insertsBy[0])
+            << "step " << step;
+    });
+    EXPECT_GT(ref.hits, 0u);
+    EXPECT_GT(ref.misses, 0u);
+    EXPECT_GT(btb.stats.counter("btb.evictions"), 0u);
+}
+
+TEST(PartitionedBtbDeath, PresenceBucketThatCouldOverflowIsRejected)
+{
+    // 2^17 sets x 64 ways with a full tag: a 15-bit bucket spans 4
+    // sets, up to 256 entries, one more than a byte counts. Rejected
+    // before any table is allocated.
+    PartitionedBtb::Config c;
+    c.tagBits = 0;
+    c.partitions = {{0, 1u << 17, 64}};
+    EXPECT_DEATH({ PartitionedBtb p(c); }, "overflow");
 }

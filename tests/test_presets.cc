@@ -85,6 +85,20 @@ TEST(Presets, ApplyUnifiedBtbBudget)
     EXPECT_NO_FATAL_FAILURE(cfg.validate());
 }
 
+TEST(PresetsDeath, ValidateRejectsFetchBlocksWiderThan32)
+{
+    // Only the BTB front-end's block probe is bounded at 32 PCs; the
+    // FTB front-end never probes a whole block.
+    SimConfig cfg = makeBaselineConfig("gcc");
+    cfg.bpu.maxBlockInsts = 33;
+    EXPECT_NO_FATAL_FAILURE(cfg.validate());
+    applyUnifiedBtbBudget(cfg, 4096);
+    cfg.bpu.maxBlockInsts = 32;
+    EXPECT_NO_FATAL_FAILURE(cfg.validate());
+    cfg.bpu.maxBlockInsts = 33;
+    EXPECT_DEATH(cfg.validate(), "fetch block size 33 exceeds");
+}
+
 TEST(Presets, SchemeNamesRoundTrip)
 {
     EXPECT_STREQ(schemeName(PrefetchScheme::None), "none");
